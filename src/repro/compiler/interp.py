@@ -1,34 +1,41 @@
-"""Lowering: execute a slicing plan as a stream of ISA instructions.
+"""Lowering: compile a slicing plan into a stream of ISA instructions.
 
-The interpreter walks the kernel IR with a per-slice :class:`Role` that
-decides what each statement becomes on the core: a plain load, a MAPLE
-API operation, a software-queue transfer, a prefetch sequence, or nothing
-(the statement belongs to the other slice).  The result is a generator a
-:class:`~repro.cpu.core.Core` runs directly, so all timing — MMIO round
-trips, queue backpressure, cache behaviour — is the real model's.
+A per-slice :class:`Role` decides what each statement becomes on the
+core: a plain load, a MAPLE API operation, a software-queue transfer, a
+prefetch sequence, or nothing (the statement belongs to the other
+slice).  :func:`interpret` takes all of those decisions once, before the
+first instruction, and lowers the slice to a single generator function —
+the Access/Execute programs MAPLE's compiler emits ahead of the run
+(§3.3).  A :class:`~repro.cpu.core.Core` runs the generator directly, so
+all timing — MMIO round trips, queue backpressure, cache behaviour — is
+the real model's.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.compiler.analysis import ImaChain
 from repro.compiler.ir import (
+    Bin,
     ComputeStmt,
+    Const,
     FetchAddStmt,
     ForStmt,
     IfStmt,
     Kernel,
     LoadStmt,
     StoreStmt,
-    compile_expr,
+    Var,
     eval_expr,
 )
 from repro.compiler.plan import LoadAction, SlicePlan
 from repro.core.api import QueueHandle
 from repro.cpu import isa
-from repro.vm.alloc import SimArray
+from repro.vm.alloc import WORD_BYTES, SimArray
 
 
 @dataclass
@@ -73,23 +80,24 @@ class MapleBackend(QueueBackend):
 
     def __init__(self, handle: QueueHandle):
         self.handle = handle
-
-    def produce(self, value):
-        yield from self.handle.produce(value)
-
-    def produce_ptr(self, addr):
-        yield from self.handle.produce_ptr(addr)
-
-    def consume(self):
-        value = yield from self.handle.consume()
-        return value
+        # The handle's API generators *are* the backend operations: no
+        # wrapper frame between a slice and its MMIO load or store.
+        self.produce = handle.produce
+        self.produce_ptr = handle.produce_ptr
+        self.consume = handle.consume
 
 
 # -- roles --------------------------------------------------------------------
 
 
 class Role:
-    """Per-slice behaviour hooks for the interpreter."""
+    """Per-slice behaviour hooks for the lowering.
+
+    Roles may override a hook in the class or bind it per instance
+    (:class:`AccessRole` binds its backend's operations); a hook left at
+    this class's no-op default costs nothing at run time, because the
+    lowering never calls it.
+    """
 
     def __init__(self, plan: SlicePlan):
         self.plan = plan
@@ -288,26 +296,21 @@ class AccessRole(Role):
     def __init__(self, plan: SlicePlan, backend: QueueBackend):
         super().__init__(plan)
         self.backend = backend
-        #: Backends with in-flight stores of unresolved address (DeSC's
-        #: Compute->Supply store queue) fence every Supply load behind
-        #: them — the loss-of-decoupling rule.
-        self._load_fence = getattr(backend, "load_fence", None)
+        # The backend's operations are the role's, bound once.
+        self.produce = backend.produce
+        self.produce_ptr = backend.produce_ptr
+        load_fence = getattr(backend, "load_fence", None)
+        if load_fence is not None:
+            # Backends with in-flight stores of unresolved address (DeSC's
+            # Compute->Supply store queue) fence every Supply load behind
+            # them — the loss-of-decoupling rule.
+            self.before_load = load_fence
 
     def includes(self, stmt) -> bool:
         return stmt.stmt_id in self.plan.access_stmts
 
     def load_action(self, stmt: LoadStmt) -> LoadAction:
         return self.plan.access_actions.get(stmt.stmt_id, LoadAction.SKIP)
-
-    def before_load(self):
-        if self._load_fence is not None:
-            yield from self._load_fence()
-
-    def produce(self, value):
-        yield from self.backend.produce(value)
-
-    def produce_ptr(self, addr):
-        yield from self.backend.produce_ptr(addr)
 
 
 class ExecuteRole(Role):
@@ -316,6 +319,12 @@ class ExecuteRole(Role):
     def __init__(self, plan: SlicePlan, backend: QueueBackend):
         super().__init__(plan)
         self.backend = backend
+        self.consume = backend.consume
+        if plan.store_via_supply:
+            # The Execute core has no memory path (DeSC): the backend
+            # ships its stores and atomics to the Access side.
+            self.store = backend.store
+            self.fetch_add = backend.fetch_add
 
     def includes(self, stmt) -> bool:
         return stmt.stmt_id in self.plan.execute_stmts
@@ -323,112 +332,200 @@ class ExecuteRole(Role):
     def load_action(self, stmt: LoadStmt) -> LoadAction:
         return self.plan.execute_actions.get(stmt.stmt_id, LoadAction.SKIP)
 
-    def consume(self):
-        value = yield from self.backend.consume()
-        return value
 
-    def store(self, addr, value):
-        if self.plan.store_via_supply:
-            yield from self.backend.store(addr, value)
-        else:
-            yield isa.Store(addr, value)
-
-    def fetch_add(self, addr, amount):
-        if self.plan.store_via_supply:
-            old = yield from self.backend.fetch_add(addr, amount)
-        else:
-            old = yield isa.Amo(addr, lambda value, a=amount: value + a)
-        return old
-
-
-# -- the interpreter ---------------------------------------------------------------
+# -- lowering ---------------------------------------------------------------------
 
 
 def interpret(kernel: Kernel, runtime: Runtime, role: Role):
-    """Generator of ISA instructions for one slice of one kernel."""
-    env = dict(runtime.params)
-    yield from _exec_body(kernel.body, env, role, runtime)
+    """Generator of ISA instructions for one slice of one kernel.
+
+    The slice is lowered once per call (cheap: the compiled code is
+    shared by every thread and cell running the same slice) and the
+    arrays of *this* ``runtime`` are bound when the generator starts.
+    """
+    program = _SliceLowering(kernel, role).program()
+    return program(role, runtime, dict(runtime.params))
 
 
-def _exec_body(body, env: dict, role: Role, runtime: Runtime):
-    # Exact-class dispatch: Stmt is a closed union (see ir.Stmt), so
-    # ``type(stmt)`` comparisons replace the isinstance chain on the
-    # per-statement hot path with identical behavior.
-    for stmt in body:
-        if not role.includes(stmt):
-            continue
-        cls = stmt.__class__
-        # Statement expressions are compiled to closures on first touch and
-        # cached on the statement object (statements live as long as their
-        # kernel, and an inner-loop statement re-evaluates the same
-        # expressions every iteration).
-        if cls is ForStmt:
-            cc = stmt.__dict__.get("_compiled")
-            if cc is None:
-                cc = stmt._compiled = (compile_expr(stmt.lo),
-                                       compile_expr(stmt.hi))
-            lo = int(cc[0](env))
-            hi = int(cc[1](env))
-            yield from role.on_loop_enter(stmt, lo, hi, env, runtime)
-            for index in range(lo, hi):
-                env[stmt.var] = index
-                yield from role.on_iteration(stmt, index, hi, env, runtime)
-                yield from _exec_body(stmt.body, env, role, runtime)
-        elif cls is LoadStmt:
-            yield from _exec_load(stmt, env, role, runtime)
-        elif cls is ComputeStmt:
-            cc = stmt.__dict__.get("_compiled")
-            if cc is None:
-                cc = stmt._compiled = compile_expr(stmt.expr)
-            env[stmt.dest] = cc(env)
-            yield isa.Alu(stmt.cycles)
-        elif cls is StoreStmt:
-            cc = stmt.__dict__.get("_compiled")
-            if cc is None:
-                cc = stmt._compiled = (compile_expr(stmt.index),
-                                       compile_expr(stmt.value))
-            array = runtime.array(stmt.array)
-            addr = array.addr(int(cc[0](env)))
-            yield from role.store(addr, cc[1](env))
-        elif cls is IfStmt:
-            cc = stmt.__dict__.get("_compiled")
-            if cc is None:
-                cc = stmt._compiled = compile_expr(stmt.cond)
-            if cc(env):
-                yield from _exec_body(stmt.body, env, role, runtime)
-        elif cls is FetchAddStmt:
-            cc = stmt.__dict__.get("_compiled")
-            if cc is None:
-                cc = stmt._compiled = (compile_expr(stmt.index),
-                                       compile_expr(stmt.amount))
-            array = runtime.array(stmt.array)
-            addr = array.addr(int(cc[0](env)))
-            amount = cc[1](env)
-            env[stmt.dest] = yield from role.fetch_add(addr, amount)
+#: Hooks the lowering elides (or, for ``store``, inlines) when the role
+#: keeps the :class:`Role` default.
+_ELIDABLE_HOOKS = ("before_load", "on_loop_enter", "on_iteration", "store")
+
+_INFIX_OPS = {"+", "-", "*", "//", "==", "!=", "<", "<="}
+
+
+def _overridden(role: Role, name: str) -> bool:
+    method = getattr(role, name)
+    return getattr(method, "__func__", None) is not getattr(Role, name)
+
+
+#: The file name lowered code reports: inside this package, so profiles
+#: and tracebacks place slice execution in the compiler.
+_SLICE_FILENAME = os.path.join(os.path.dirname(__file__), "<lowered slice>")
+
+
+@functools.lru_cache(maxsize=256)
+def _compile_slice(source: str):
+    return compile(source, _SLICE_FILENAME, "exec")
+
+
+class _SliceLowering:
+    """Emits one slice as the source of a single generator function.
+
+    Every role decision is taken here, before the first instruction:
+    which statements the slice runs, what each load becomes, which hooks
+    are called.  Loops become native ``for`` loops in one frame, and
+    expressions become inline Python over ``env`` — the dict the role
+    hooks see, so their view of loop variables and temps is unchanged.
+    """
+
+    def __init__(self, kernel: Kernel, role: Role):
+        self._role = role
+        self._hooks = {name for name in _ELIDABLE_HOOKS
+                       if _overridden(role, name)}
+        self._lima = isinstance(role, LimaRole)
+        self._namespace = {"Load": isa.Load, "Store": isa.Store}
+        self._arrays: Dict[str, int] = {}
+        self._ops: List[str] = []
+        self._consts = 0
+        self._body: List[str] = []
+        self._emit_body(kernel.body, 1)
+
+    def program(self):
+        head = ["def slice_program(role, runtime, env):",
+                "    if 0:",
+                "        yield  # a generator even when the slice is empty"]
+        for name, k in self._arrays.items():
+            head.append(f"    a{k} = runtime.array({name!r})")
+            head.append(f"    b{k} = a{k}.base")
+            head.append(f"    n{k} = a{k}.length")
+        for op in self._ops:
+            head.append(f"    {op} = role.{op}")
+        source = "\n".join(head + self._body) + "\n"
+        namespace = dict(self._namespace)
+        exec(_compile_slice(source), namespace)
+        return namespace["slice_program"]
+
+    # -- statements ---------------------------------------------------------
+
+    def _emit_body(self, body, depth: int) -> bool:
+        """Emit the statements of ``body`` this slice runs; False when
+        there are none."""
+        emitted = False
+        for stmt in body:
+            if not self._role.includes(stmt):
+                continue
+            cls = stmt.__class__
+            if cls is ForStmt:
+                self._emit_for(stmt, depth)
+            elif cls is LoadStmt:
+                self._emit_load(stmt, depth)
+            elif cls is ComputeStmt:
+                alu = self._bind(f"alu{stmt.stmt_id}", isa.Alu(stmt.cycles))
+                self._line(depth, f"env[{stmt.dest!r}] = {self._expr(stmt.expr)}")
+                self._line(depth, f"yield {alu}")
+            elif cls is StoreStmt:
+                addr = self._emit_addr(stmt.array, stmt.index, depth)
+                value = self._expr(stmt.value)
+                if "store" in self._hooks:
+                    self._line(depth, f"yield from {self._op('store')}"
+                                      f"({addr}, {value})")
+                else:
+                    self._line(depth, f"yield Store({addr}, {value})")
+            elif cls is IfStmt:
+                self._line(depth, f"if {self._expr(stmt.cond)}:")
+                if not self._emit_body(stmt.body, depth + 1):
+                    self._line(depth + 1, "pass")
+            elif cls is FetchAddStmt:
+                addr = self._emit_addr(stmt.array, stmt.index, depth)
+                self._line(depth, f"env[{stmt.dest!r}] = yield from "
+                                  f"{self._op('fetch_add')}({addr}, "
+                                  f"{self._expr(stmt.amount)})")
+            else:
+                raise TypeError(f"not a statement: {stmt!r}")
+            emitted = True
+        return emitted
+
+    def _emit_for(self, stmt: ForStmt, depth: int) -> None:
+        sid = stmt.stmt_id
+        lo, hi, index = f"lo{sid}", f"hi{sid}", f"i{sid}"
+        self._line(depth, f"{lo} = int({self._expr(stmt.lo)})")
+        self._line(depth, f"{hi} = int({self._expr(stmt.hi)})")
+        if "on_loop_enter" in self._hooks:
+            self._line(depth, f"yield from {self._op('on_loop_enter')}"
+                              f"({self._stmt(stmt)}, {lo}, {hi}, env, runtime)")
+        self._line(depth, f"for {index} in range({lo}, {hi}):")
+        self._line(depth + 1, f"env[{stmt.var!r}] = {index}")
+        if "on_iteration" in self._hooks:
+            self._line(depth + 1, f"yield from {self._op('on_iteration')}"
+                                  f"({self._stmt(stmt)}, {index}, {hi}, "
+                                  "env, runtime)")
+        self._emit_body(stmt.body, depth + 1)
+
+    def _emit_load(self, stmt: LoadStmt, depth: int) -> None:
+        action = self._role.load_action(stmt)
+        dest = f"env[{stmt.dest!r}]"
+        if action is LoadAction.SKIP:
+            return
+        if action is LoadAction.CONSUME:
+            if self._lima:
+                self._line(depth, f"{dest} = yield from "
+                                  f"{self._op('consume_for')}({self._stmt(stmt)})")
+            else:
+                self._line(depth, f"{dest} = yield from {self._op('consume')}()")
+            return
+        addr = self._emit_addr(stmt.array, stmt.index, depth)
+        if action is LoadAction.PRODUCE_PTR:
+            self._line(depth, f"yield from {self._op('produce_ptr')}({addr})")
+            return
+        if "before_load" in self._hooks:
+            self._line(depth, f"yield from {self._op('before_load')}()")
+        if action is LoadAction.LOAD_AND_PRODUCE:
+            self._line(depth, f"value = yield Load({addr})")
+            self._line(depth, f"{dest} = value")
+            self._line(depth, f"yield from {self._op('produce')}(value)")
         else:
-            raise TypeError(f"not a statement: {stmt!r}")
+            self._line(depth, f"{dest} = yield Load({addr})")
 
+    def _emit_addr(self, array: str, index, depth: int) -> str:
+        """Emit the bounds-checked index into local ``x``; returns the
+        address expression (``SimArray.addr`` inlined, its IndexError kept
+        by calling it on the failing index)."""
+        k = self._arrays.setdefault(array, len(self._arrays))
+        self._line(depth, f"x = int({self._expr(index)})")
+        self._line(depth, f"if not 0 <= x < n{k}:")
+        self._line(depth + 1, f"a{k}.addr(x)")
+        return f"b{k} + {WORD_BYTES} * x"
 
-def _exec_load(stmt: LoadStmt, env: dict, role: Role, runtime: Runtime):
-    action = role.load_action(stmt)
-    if action is LoadAction.SKIP:
-        return
-    if action is LoadAction.CONSUME:
-        if isinstance(role, LimaRole):
-            env[stmt.dest] = yield from role.consume_for(stmt)
-        else:
-            env[stmt.dest] = yield from role.consume()
-        return
-    cc = stmt.__dict__.get("_compiled")
-    if cc is None:
-        cc = stmt._compiled = compile_expr(stmt.index)
-    array = runtime.array(stmt.array)
-    addr = array.addr(int(cc(env)))
-    if action is LoadAction.PRODUCE_PTR:
-        yield from role.produce_ptr(addr)
-        return
-    yield from role.before_load()
-    value = yield isa.Load(addr)
-    env[stmt.dest] = value
-    if action is LoadAction.LOAD_AND_PRODUCE:
-        yield from role.produce(value)
+    # -- helpers ------------------------------------------------------------
+
+    def _line(self, depth: int, text: str) -> None:
+        self._body.append("    " * depth + text)
+
+    def _op(self, name: str) -> str:
+        if name not in self._ops:
+            self._ops.append(name)
+        return name
+
+    def _bind(self, name: str, value) -> str:
+        self._namespace[name] = value
+        return name
+
+    def _stmt(self, stmt) -> str:
+        return self._bind(f"s{stmt.stmt_id}", stmt)
+
+    def _expr(self, expr) -> str:
+        cls = expr.__class__
+        if cls is Var:
+            return f"env[{expr.name!r}]"
+        if cls is Const:
+            self._consts += 1
+            return self._bind(f"k{self._consts}", expr.value)
+        if cls is Bin:
+            lhs, rhs = self._expr(expr.lhs), self._expr(expr.rhs)
+            if expr.op in _INFIX_OPS:
+                return f"({lhs} {expr.op} {rhs})"
+            if expr.op in ("min", "max"):
+                return f"{expr.op}({lhs}, {rhs})"
+            raise ValueError(f"unknown operator {expr.op!r}")
+        raise TypeError(f"not an expression: {expr!r}")

@@ -75,36 +75,6 @@ def eval_expr(expr: Expr, env: dict):
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def compile_expr(expr: Expr):
-    """Compile an expression to an ``env -> value`` closure.
-
-    Semantically identical to :func:`eval_expr` (same operators, same
-    error behavior for unbound names / unknown operators), but the tree
-    walk and dispatch happen once, at compile time, instead of on every
-    evaluation — the interpreter caches the closures per statement.
-    """
-    if isinstance(expr, Const):
-        value = expr.value
-        return lambda env: value
-    if isinstance(expr, Var):
-        name = expr.name
-
-        def _load_var(env, _name=name):
-            try:
-                return env[_name]
-            except KeyError:
-                raise NameError(f"unbound name {_name!r} in kernel expression")
-        return _load_var
-    if isinstance(expr, Bin):
-        op = _BIN_OPS.get(expr.op)
-        if op is None:
-            raise ValueError(f"unknown operator {expr.op!r}")
-        lhs = compile_expr(expr.lhs)
-        rhs = compile_expr(expr.rhs)
-        return lambda env: op(lhs(env), rhs(env))
-    raise TypeError(f"not an expression: {expr!r}")
-
-
 def expr_vars(expr: Expr) -> Set[str]:
     if isinstance(expr, Const):
         return set()

@@ -87,31 +87,40 @@ class Core:
     # -- execution loop ------------------------------------------------------
 
     def _execute(self, thread: Thread):
-        program = thread.program
+        # Loads, ALU ops and stores — nearly every instruction a slice
+        # issues — dispatch inline on their exact class, with no
+        # per-instruction generator; everything else goes to _perform.
+        send = thread.program.send
+        aspace = thread.aspace
+        instructions = self._c_instructions
+        alu_ops = self._c_alu_ops
         to_send = None
         while True:
             try:
-                inst = program.send(to_send)
+                inst = send(to_send)
             except StopIteration as stop:
                 return stop.value
-            to_send = yield from self._perform(inst, thread.aspace)
+            kind = inst.__class__
+            if kind is Load:
+                instructions.value += 1
+                to_send = yield from self._do_load(inst.vaddr, aspace)
+            elif kind is Alu:
+                instructions.value += 1
+                alu_ops.value += 1
+                yield inst.cycles
+                to_send = None
+            elif kind is Store:
+                instructions.value += 1
+                to_send = yield from self._do_store(inst.vaddr, inst.value,
+                                                    aspace)
+            else:
+                to_send = yield from self._perform(inst, aspace)
 
     def _perform(self, inst, aspace: AddressSpace):
-        # Exact-class dispatch for the per-instruction hot path; anything
+        # Exact-class dispatch for the rarer instruction kinds; anything
         # unusual (raw simulation waits, isa subclasses) falls through to
         # the general chain in _perform_slow with unchanged semantics.
         kind = inst.__class__
-        if kind is Load:
-            self._c_instructions.value += 1
-            return (yield from self._do_load(inst.vaddr, aspace))
-        if kind is Alu:
-            self._c_instructions.value += 1
-            self._c_alu_ops.value += 1
-            yield inst.cycles
-            return None
-        if kind is Store:
-            self._c_instructions.value += 1
-            return (yield from self._do_store(inst.vaddr, inst.value, aspace))
         if kind is Prefetch:
             self._c_instructions.value += 1
             self._c_prefetches.value += 1

@@ -352,12 +352,9 @@ def _doall_threads(soc: Soc, binding: WorkloadBinding, plan, threads: int,
     for tid in range(threads):
         params = binding.slice_params(tid, threads)
         runtime = binding.runtime.with_params(**params)
-
-        def program(rt=runtime, factory=role_factory):
-            yield from interpret(binding.kernel, rt, factory())
-
+        program = interpret(binding.kernel, runtime, role_factory())
         assignments.append(
-            (tid, Thread(program(), aspace, f"{plan.technique.value}-{tid}")))
+            (tid, Thread(program, aspace, f"{plan.technique.value}-{tid}")))
     return assignments
 
 

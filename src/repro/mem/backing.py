@@ -9,7 +9,8 @@ Uninitialized reads return zero, like zero-filled pages from an OS.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from itertools import repeat
+from typing import Any, Dict, Iterable
 
 
 WORD_BYTES = 8
@@ -31,6 +32,26 @@ class PhysicalMemory:
         if paddr & 7 or paddr < 0:
             self._check(paddr)
         self._words[paddr] = value
+
+    def write_words(self, paddr: int, values: Iterable) -> int:
+        """Store ``values`` in consecutive words from ``paddr``; returns
+        how many were stored."""
+        if paddr & 7 or paddr < 0:
+            self._check(paddr)
+        words = self._words
+        count = 0
+        for count, value in enumerate(values, 1):
+            words[paddr] = value
+            paddr += WORD_BYTES
+        return count
+
+    def read_words(self, paddr: int, count: int) -> list:
+        """``count`` consecutive words from ``paddr``, in address order."""
+        if paddr & 7 or paddr < 0:
+            self._check(paddr)
+        end = paddr + count * WORD_BYTES
+        return list(map(self._words.get, range(paddr, end, WORD_BYTES),
+                        repeat(0, count)))
 
     def read_line(self, line_addr: int, line_size: int) -> list:
         """All words of a cache line, in address order (used by LIMA)."""

@@ -180,7 +180,9 @@ class Directory:
     def upgrade(self, core_id: int, line: int):
         """Generator: store-upgrade round trip through the line's home.
 
-        Returns the number of sharers invalidated.
+        Returns the number of sharers invalidated, or None when the grant
+        was void (the requester's copy was invalidated while its upgrade
+        queued at the home).
         """
         port = self._req_ports[core_id]
         return (yield from port.request("dir_upgrade", (line, core_id),
@@ -255,7 +257,8 @@ class Directory:
             yield from self._fan_out(line, others, "dir_inval")
         self._c_upgrades.value += 1
         self._c_invalidations.value += len(others)
-        self._grant(line, core_id, silent=False)
+        if not self._grant(line, core_id, silent=False):
+            return None
         return len(others)
 
     def _home_fetch(self, line: int, core_id: int):
@@ -304,7 +307,9 @@ class Directory:
 
     # -- ownership ledger --------------------------------------------------
 
-    def _grant(self, line: int, core_id: int, silent: bool) -> None:
+    def _grant(self, line: int, core_id: int, silent: bool) -> bool:
+        """Record a grant; False when it is void (the requester holds no
+        copy)."""
         sharers = frozenset(self._book.sharers_of(line))
         l1s = self._memsys.l1s
         for other in sharers:
@@ -319,16 +324,20 @@ class Directory:
             raise DirectoryError(
                 f"line {line:#x}: core {previous} still owns the line "
                 f"MODIFIED at grant to core {core_id}")
-        if core_id in sharers:
+        live = core_id in sharers
+        if live:
             # Ownership itself is recorded by the book when the store
-            # lands (CoherenceBook.store, right after this grant).
+            # lands (CoherenceBook.store, once the grant reaches the
+            # requester).
             event = "grant_silent" if silent else "grant"
         else:
             # The requester's own copy was invalidated while its upgrade
-            # was queued at the home; the grant is void (the store's
-            # ``l1.contains`` guard will skip the MODIFIED transition too).
+            # was queued at the home; the grant is void.  The requester
+            # skips the MODIFIED transition, or re-issues the upgrade if
+            # it has refilled the line meanwhile.
             event = "grant_void"
         self.audit.append((self._sim.now, event, line, core_id, sharers))
+        return live
 
     # -- telemetry ---------------------------------------------------------
 

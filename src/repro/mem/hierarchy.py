@@ -530,14 +530,26 @@ class MemorySystem:
             # silent dirty bit set behind an in-progress fan-out would
             # never be invalidated, so such stores take the message path
             # and serialize at the home like everyone else.
-            if sole and not self.directory.has_pending(line):
-                self.directory.grant_silent(line, core_id)
-                return
-            # Real upgrade round trip: requester -> home tile -> parallel
-            # invalidations to every other sharer -> grant.  The home
-            # applies each invalidation via :meth:`apply_inval`.
-            yield from self.directory.upgrade(core_id, line)
-            return
+            directory = self.directory
+            while True:
+                if sole and not directory.has_pending(line):
+                    directory.grant_silent(line, core_id)
+                    return
+                # Real upgrade round trip: requester -> home tile ->
+                # parallel invalidations to every other sharer -> grant.
+                granted = yield from directory.upgrade(core_id, line)
+                # The store lands only under a live grant.  Ask again when
+                # this grant was void but the line has been refilled since
+                # (new sharers were never invalidated), or when another
+                # core took ownership while the grant crossed the mesh.
+                if not self.l1s[core_id].contains(line):
+                    return
+                if granted is not None and self.book.owner_of(line) in (
+                        None, core_id):
+                    return
+                sharers = self.book.sharers_of(line)
+                sole = not sharers or (core_id in sharers
+                                       and len(sharers) == 1)
         if sole:
             return
         yield self._l2_latency

@@ -9,8 +9,10 @@ result checking.
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from typing import Iterable, List
 
+from repro.vm.address import PAGE_SIZE
 from repro.vm.os_model import AddressSpace, SimOS
 
 WORD_BYTES = 8
@@ -44,11 +46,36 @@ class SimArray:
         self._os.memsys.mem.write_word(paddr, value)
 
     def fill(self, values: Iterable) -> None:
-        for index, value in enumerate(values):
-            self.write(index, value)
+        """Write ``values`` from element 0 on, translating once per page.
+
+        Raises IndexError (after filling every element) when there are
+        more values than elements."""
+        mem = self._os.memsys.mem
+        source = iter(values)
+        index = 0
+        for first in source:
+            if index == self.length:
+                self.addr(index)  # raises the out-of-range IndexError
+            count = self._page_span(index)
+            index += mem.write_words(
+                self._translate(self.base + WORD_BYTES * index),
+                chain((first,), islice(source, count - 1)))
 
     def to_list(self) -> List:
-        return [self.read(index) for index in range(self.length)]
+        mem = self._os.memsys.mem
+        out: List = []
+        index = 0
+        while index < self.length:
+            count = self._page_span(index)
+            out += mem.read_words(
+                self._translate(self.base + WORD_BYTES * index), count)
+            index += count
+        return out
+
+    def _page_span(self, index: int) -> int:
+        """Elements from ``index`` to the end of its page or the array."""
+        offset = (self.base + WORD_BYTES * index) % PAGE_SIZE
+        return min(self.length - index, (PAGE_SIZE - offset) // WORD_BYTES)
 
     def _translate(self, vaddr: int) -> int:
         paddr = self.aspace.page_table.lookup(vaddr)

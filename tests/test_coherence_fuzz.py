@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from repro.cpu import Load, Store, Thread
+from repro.datasets.graphs import Graph, power_law_graph
 from repro.datasets.sparse import random_csr
 from repro.harness.techniques import run_workload
 from repro.kernels.sdhp import _make_dataset as make_sdhp_dataset
@@ -35,6 +36,7 @@ from repro.kernels.spmv import SpmvDataset
 from repro.params import SoCConfig
 from repro.sim.invariants import InvariantChecker
 from repro.system import Soc
+from repro.system.soc import coherence_stress_config
 
 MASTER_SEED = 20260807
 N_CASES = 100
@@ -251,3 +253,33 @@ def test_coherence_fuzz_16x16(case):
                           check=True, check_invariants=True)
     refills, _ = _mem_plane_counts(result.soc)
     assert refills > 0
+
+
+def _hub_rooted(graph):
+    """``graph`` with its highest out-degree vertex relabelled 0, so the
+    BFS (which starts at vertex 0) reaches the giant component."""
+    degree = np.diff(graph.row_ptr)
+    hub = int(np.argmax(degree))
+    relabel = np.arange(graph.num_vertices)
+    relabel[[0, hub]] = [hub, 0]
+    sources = relabel[np.repeat(np.arange(graph.num_vertices), degree)]
+    targets = relabel[graph.neighbors]
+    order = np.lexsort((targets, sources))
+    row_ptr = np.concatenate(([0], np.cumsum(
+        np.bincount(sources, minlength=graph.num_vertices))))
+    return Graph(graph.name, graph.num_vertices, row_ptr, targets[order])
+
+
+@pytest.mark.parametrize("seed", (6, 14, 15))
+def test_bfs_stores_land_only_under_a_live_grant(seed):
+    """Regression: 16-way BFS on the 8x8 directory mesh.  Seeds 6 and 14
+    once landed a store after ownership moved while its grant crossed
+    the mesh (``CoherenceError`` single-writer violated); seed 15 landed
+    a store MODIFIED after a void grant and a refill, without
+    invalidating the new sharers (``DirectoryError`` at the next
+    grant)."""
+    graph = _hub_rooted(power_law_graph(4096, 4, seed))
+    result = run_workload("bfs", "doall", threads=16,
+                          config=coherence_stress_config(8, 4),
+                          dataset=graph, check_invariants=True)
+    assert result.invariants_checked

@@ -74,3 +74,16 @@ def test_memory_behaves_like_a_dict(contents):
         mem.write_word(addr, value)
     for addr, value in contents.items():
         assert mem.read_word(addr) == value
+
+
+def test_write_words_and_read_words_are_consecutive():
+    mem = PhysicalMemory()
+    assert mem.write_words(0x100, iter([1, 2.5, 3])) == 3
+    assert mem.write_words(0x200, []) == 0
+    assert [mem.read_word(0x100 + 8 * i) for i in range(3)] == [1, 2.5, 3]
+    assert mem.read_words(0x0F8, 5) == [0, 1, 2.5, 3, 0]
+    assert mem.read_words(0x100, 0) == []
+    with pytest.raises(ValueError):
+        mem.write_words(0x104, [1])
+    with pytest.raises(ValueError):
+        mem.read_words(-8, 1)

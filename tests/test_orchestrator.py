@@ -502,16 +502,19 @@ def test_heartbeat_validation():
 def test_deadline_expiring_mid_run_is_killed_typed_and_orphan_free():
     """A job whose overall deadline budget dies mid-simulation must be
     killed, retired as a typed JobDeadlineExceeded, and leave nothing
-    behind — the promise the serving layer builds on."""
+    behind — the promise the serving layer builds on.  The attempt is
+    made to sleep past the deadline, so a fast worker cannot finish
+    first."""
     import multiprocessing
     import time
 
     from repro.harness.orchestrator import OrchestratorError
 
-    orch = Orchestrator(jobs=2, deadline_action="fail")
+    spec = RunSpec("spmv", "doall", threads=2, scale=4)
+    orch = Orchestrator(jobs=2, deadline_action="fail",
+                        inject_hang=frozenset({spec_key(spec)}))
     with pytest.raises(OrchestratorError) as excinfo:
-        orch.run([RunSpec("spmv", "doall", threads=2, scale=4)],
-                 deadline=time.monotonic() + 0.2)
+        orch.run([spec], deadline=time.monotonic() + 0.2)
     error = excinfo.value.job_error
     assert error.exc_type == "JobDeadlineExceeded"
     assert error.detection == "deadline"

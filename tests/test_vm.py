@@ -329,3 +329,38 @@ def test_lazy_array_cannot_be_prefilled():
     aspace = os.create_address_space()
     with pytest.raises(ValueError):
         alloc_array(os, aspace, [1, 2], lazy=True)
+
+
+def test_fill_and_to_list_walk_pages_with_per_element_semantics():
+    _, os, _ = make_os()
+    aspace = os.create_address_space()
+    n = 2 * (PAGE_SIZE // 8) + 5  # three pages
+    array = alloc_array(os, aspace, n, name="three")
+    array.fill(iter(range(n)))  # any iterable, consumed once
+    assert array.to_list() == list(range(n))
+    lookups = []
+    real_lookup = aspace.page_table.lookup
+
+    def counting_lookup(vaddr):
+        lookups.append(vaddr)
+        return real_lookup(vaddr)
+
+    aspace.page_table.lookup = counting_lookup
+    array.fill([7] * n)
+    assert array.to_list() == [7] * n
+    assert len(lookups) == 6  # one translation per page, per pass
+    # More values than elements: every element written, then IndexError.
+    with pytest.raises(IndexError, match=r"three\[%d\]" % n):
+        array.fill(range(1, n + 2))
+    assert array.to_list() == list(range(1, n + 1))
+
+
+def test_fill_and_to_list_of_unmapped_pages_raise():
+    _, os, _ = make_os()
+    aspace = os.create_address_space()
+    array = alloc_array(os, aspace, 4, name="lazy", lazy=True)
+    array.fill([])  # nothing to write, nothing translated
+    with pytest.raises(RuntimeError, match="unmapped"):
+        array.fill([1])
+    with pytest.raises(RuntimeError, match="unmapped"):
+        array.to_list()
