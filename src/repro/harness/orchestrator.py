@@ -51,6 +51,11 @@ The moving parts:
     terminates and joins all live workers; terminal failures carry a
     structured :class:`JobError` and a JSON dump.
 
+Workers fork from the supervisor and inherit its imports, so the worker
+path imports its modules here, at module level, not inside functions: a
+fresh worker then imports nothing but ``numpy.random`` (see
+:func:`seed_rngs_for`) before its cell runs.
+
 Determinism contract: a :class:`RunSpec` fully determines its
 :class:`RunResult` (the simulator is single-threaded and seeded), so
 ``--jobs N`` changes wall-clock only — never a number.  The
@@ -79,7 +84,11 @@ from typing import (
     Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple,
 )
 
+from repro.harness.techniques import run_workload
 from repro.params import SoCConfig
+from repro.sim.checkpoint import (
+    Checkpoint, CheckpointDivergenceError, CheckpointError,
+)
 from repro.sim.faults import FaultPlan
 
 #: Bump when RunResult's serialized shape changes: old cache files then
@@ -289,6 +298,10 @@ def seed_rngs_for(key: str) -> None:
     generation (and any future component) from whatever the host process
     did before us — and it is what makes a checkpoint's ``rng`` digest
     reproducible on resume in a fresh process.
+
+    ``numpy.random`` is the one import left to the worker.  Imported at
+    module level, its 2-3 MB would sit in the supervisor too and raise
+    the sweep's peak RSS, which is the supervisor's own.
     """
     derived = int(key[:16], 16)
     random.seed(derived)
@@ -310,8 +323,6 @@ def execute_spec(spec: RunSpec, checkpoint_path=None, on_checkpoint=None,
     attempt's checkpoint under digest verification.  Neither changes a
     single number — only how much work a rerun has to repeat.
     """
-    from repro.harness.techniques import run_workload
-
     seed_rngs_for(spec_key(spec))
 
     checkpointing = checkpoint_path is not None and spec.checkpoint_every
@@ -462,10 +473,6 @@ def _execute_or_resume(spec: RunSpec, checkpoint_path=None,
     likewise quarantined and retried fresh — resumability is an
     optimization, never a way to lose a run.
     """
-    from repro.sim.checkpoint import (
-        Checkpoint, CheckpointDivergenceError, CheckpointError,
-    )
-
     resume_from = None
     if checkpoint_path is not None and spec.checkpoint_every:
         path = Path(checkpoint_path)

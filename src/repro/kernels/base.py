@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
+import numpy as np
+
 from repro.compiler.ir import Kernel
 from repro.compiler.interp import Runtime
 
@@ -36,6 +38,31 @@ class WorkloadBinding:
         lo = min(thread * per, self.total_iterations)
         hi = min(lo + per, self.total_iterations)
         return {self.partition_params[0]: lo, self.partition_params[1]: hi}
+
+
+def assert_close(got, expected, rtol: float, atol: float = 0.0) -> None:
+    """Raise AssertionError unless ``got`` matches ``expected`` elementwise.
+
+    The test is numpy's ``assert_allclose``: ``|got - expected| <= atol +
+    rtol * |expected|``, with NaN equal to NaN and an infinity equal only
+    to itself.  Shapes must be equal (no broadcasting).  It lives here
+    because numpy's testing package imports ``unittest``, ``email`` and
+    ``difflib``, tens of milliseconds that every worker process would
+    pay for its first check.
+    """
+    got = np.asarray(got)
+    expected = np.asarray(expected)
+    if got.shape != expected.shape:
+        raise AssertionError(
+            f"shape mismatch: got {got.shape}, expected {expected.shape}")
+    ok = np.isclose(got, expected, rtol=rtol, atol=atol, equal_nan=True)
+    if not ok.all():
+        bad = np.flatnonzero(~ok)
+        first = np.unravel_index(bad[0], got.shape)
+        raise AssertionError(
+            f"{bad.size} of {ok.size} elements differ beyond rtol={rtol}, "
+            f"atol={atol}; first at {first}: got {got[first]!r}, "
+            f"expected {expected[first]!r}")
 
 
 class LoopWorkload:

@@ -24,7 +24,7 @@ from repro.compiler.ir import (
 )
 from repro.datasets.kronecker import kronecker_graph
 from repro.datasets.sparse import CsrMatrix, random_csr
-from repro.kernels.base import LoopWorkload, WorkloadBinding
+from repro.kernels.base import LoopWorkload, WorkloadBinding, assert_close
 
 
 def build_sdhp_kernel() -> Kernel:
@@ -107,7 +107,7 @@ class SdhpWorkload(LoopWorkload):
 
         def check() -> None:
             got = np.array(arrays["out"].to_list(), dtype=float)
-            np.testing.assert_allclose(got, expected, rtol=1e-9)
+            assert_close(got, expected, rtol=1e-9)
 
         return WorkloadBinding(
             kernel=build_sdhp_kernel(),

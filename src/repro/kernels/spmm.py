@@ -25,7 +25,7 @@ from repro.compiler.ir import (
     Var,
 )
 from repro.datasets.sparse import CscMatrix, random_csr
-from repro.kernels.base import LoopWorkload, WorkloadBinding
+from repro.kernels.base import LoopWorkload, WorkloadBinding, assert_close
 
 
 def build_spmm_kernel() -> Kernel:
@@ -101,7 +101,7 @@ class SpmmWorkload(LoopWorkload):
         def check() -> None:
             t = arrays["t"]
             got = np.array(t.to_list(), dtype=float).reshape(b.cols, a.rows).T
-            np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-12)
+            assert_close(got, expected, rtol=1e-9, atol=1e-12)
 
         return WorkloadBinding(
             kernel=build_spmm_kernel(),

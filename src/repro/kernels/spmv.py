@@ -23,7 +23,7 @@ from repro.compiler.ir import (
     Var,
 )
 from repro.datasets.sparse import CsrMatrix, random_csr
-from repro.kernels.base import LoopWorkload, WorkloadBinding
+from repro.kernels.base import LoopWorkload, WorkloadBinding, assert_close
 
 
 def build_spmv_kernel() -> Kernel:
@@ -92,7 +92,7 @@ class SpmvWorkload(LoopWorkload):
 
         def check() -> None:
             got = np.array(arrays["y"].to_list(), dtype=float)
-            np.testing.assert_allclose(got, expected, rtol=1e-9)
+            assert_close(got, expected, rtol=1e-9)
 
         return WorkloadBinding(
             kernel=build_spmv_kernel(),

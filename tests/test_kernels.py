@@ -7,6 +7,7 @@ from repro.datasets.graphs import power_law_graph
 from repro.datasets.sparse import random_csr
 from repro.harness import run_workload
 from repro.kernels import ALL_WORKLOADS, BfsWorkload, SpmvWorkload
+from repro.kernels.base import assert_close
 from repro.kernels.spmv import SpmvDataset
 from repro.system import Soc
 
@@ -29,6 +30,67 @@ def test_spmv_reference_matches_numpy():
     ds = SpmvWorkload().default_dataset()
     dense = ds.matrix.to_dense()
     np.testing.assert_allclose(ds.reference(), dense @ ds.x)
+
+
+def _accepts(check, got, expected, rtol, atol):
+    try:
+        check(np.array(got, dtype=float), np.array(expected, dtype=float),
+              rtol=rtol, atol=atol)
+    except AssertionError:
+        return False
+    return True
+
+
+INF, NAN = float("inf"), float("nan")
+#: (got, expected, rtol, atol): inside rtol, just outside it, atol only,
+#: NaN against NaN and against a number, infinities, empty and 2-D.
+CLOSE_CASES = [
+    ([1.0, 2.0], [1.0, 2.0], 1e-9, 0.0),
+    ([1.0 + 5e-10], [1.0], 1e-9, 0.0),
+    ([1.0 + 2e-9], [1.0], 1e-9, 0.0),
+    ([1e6 * (1 + 1.01e-9)], [1e6], 1e-9, 0.0),
+    ([0.0], [1e-13], 1e-9, 0.0),
+    ([0.0], [1e-13], 1e-9, 1e-12),
+    ([5e-13], [0.0], 1e-9, 1e-12),
+    ([2e-12], [0.0], 1e-9, 1e-12),
+    ([1.0, 1.5e-12], [1.0, 0.0], 1e-9, 1e-12),
+    ([NAN], [NAN], 1e-9, 0.0),
+    ([NAN, 1.0], [NAN, 1.0], 1e-9, 1e-12),
+    ([NAN], [1.0], 1e-9, 0.0),
+    ([1.0], [NAN], 1e-9, 1e-12),
+    ([INF], [INF], 1e-9, 0.0),
+    ([-INF], [-INF], 1e-9, 1e-12),
+    ([INF], [-INF], 1e-9, 0.0),
+    ([INF], [1e308], 1e-9, 1e-12),
+    ([1e308], [INF], 1e-9, 0.0),
+    ([INF], [NAN], 1e-9, 0.0),
+    ([], [], 1e-9, 0.0),
+    ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0 + 1e-6]], 1e-9, 0.0),
+    ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]], 1e-9, 1e-12),
+]
+
+
+@pytest.mark.parametrize("got,expected,rtol,atol", CLOSE_CASES)
+def test_assert_close_agrees_with_numpy_testing(got, expected, rtol, atol):
+    want = _accepts(np.testing.assert_allclose, got, expected, rtol, atol)
+    assert _accepts(assert_close, got, expected, rtol, atol) == want
+
+
+def test_assert_close_grid_covers_both_verdicts():
+    verdicts = {_accepts(np.testing.assert_allclose, *case)
+                for case in CLOSE_CASES}
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("got,expected", [
+    ([1.0, 2.0], [1.0, 2.0, 3.0]),
+    ([1.0, 1.0], [1.0]),
+    ([[1.0, 2.0]], [1.0, 2.0]),
+    ([1.0], 1.0),
+])
+def test_assert_close_rejects_shape_mismatch(got, expected):
+    with pytest.raises(AssertionError, match="shape"):
+        assert_close(got, expected, rtol=1e-9, atol=1e-12)
 
 
 def test_spmv_dataset_shape_validation():

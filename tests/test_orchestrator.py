@@ -374,6 +374,59 @@ def test_crashed_job_resumes_from_checkpoint(tmp_path):
     assert not list((tmp_path / "ckpt").glob("*.ckpt.json*"))
 
 
+#: Child for the import-closure guard.  It snapshots ``sys.modules``
+#: after ``import repro.harness`` (what a supervisor holds when it forks
+#: a worker), measures the ``numpy.random`` closure, then runs cells
+#: through the worker entry point.  BFS's default graph takes about a
+#: minute per cell, so the child shrinks it; the lazy import inside
+#: ``default_dataset`` is kept.
+_IMPORT_CLOSURE_CHILD = """
+import json, sys
+import repro.harness
+from repro.harness.orchestrator import RunSpec, _execute_or_resume
+from repro.kernels import BfsWorkload
+
+def small_graph(self, scale=1, seed=0, which="wikipedia"):
+    from repro.datasets.graphs import power_law_graph
+    return power_law_graph(512, 4, seed=seed + 1, name=which)
+
+BfsWorkload.default_dataset = small_graph
+held = set(sys.modules)
+import numpy.random
+closure = set(sys.modules) - held
+for workload in ("spmv", "sdhp", "spmm", "bfs"):
+    for technique in ("doall", "maple-decouple"):
+        _execute_or_resume(RunSpec(workload, technique, threads=2, scale=1))
+print(json.dumps({"closure": sorted(closure),
+                  "new": sorted(set(sys.modules) - held)}))
+"""
+
+
+def test_worker_cells_import_only_the_numpy_random_closure():
+    """A forked worker inherits its supervisor's modules, so a cell run in
+    it should import nothing new.  The one allowance is ``numpy.random``
+    (seeded per cell by ``seed_rngs_for``): importing it in the
+    supervisor would raise the supervisor's peak memory by about 3 MB,
+    while each worker pays it once.  Anything else here (``numpy.testing``
+    in a functional check, a lazy import on the worker path) costs every
+    worker process its import time."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    repo = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_CLOSURE_CHILD],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert "numpy.random" in out["closure"]
+    extra = sorted(set(out["new"]) - set(out["closure"]))
+    assert not extra, f"worker-path cells imported {len(extra)} modules: {extra}"
+
+
 def test_wedged_worker_is_detected_and_rescheduled():
     """SIGSTOP freezes the worker's heartbeat thread without killing the
     process: the wedge detector (not the runtime deadline) must fire."""
