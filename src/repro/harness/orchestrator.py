@@ -37,24 +37,27 @@ The moving parts:
     ``run(specs)`` returns results **in submission order** regardless of
     completion order.  ``jobs=1`` is a pure in-process serial loop (no
     pool, no pickling); ``jobs>1`` runs **supervised workers**: one
-    process per job attempt, each heartbeating into a shared array from
-    a daemon thread.  The supervisor multiplexes result pipes, process
-    sentinels, runtime deadlines, and heartbeat deadlines — so it
-    distinguishes a *crashed* worker (SIGKILL/OOM: process died, no
-    result), a *wedged* one (alive but no heartbeat past the deadline),
-    and a merely *slow* one (deadline exceeded) — and reschedules with
-    the existing exponential backoff.  Jobs with
+    long-lived process per slot for the length of the ``run()`` call,
+    fed one attempt at a time over a duplex pipe and heartbeating into
+    a shared array from a daemon thread.  The supervisor multiplexes
+    result pipes, process sentinels, runtime deadlines, and heartbeat
+    deadlines — so it distinguishes a *crashed* worker (SIGKILL/OOM:
+    process died, no result), a *wedged* one (alive but no heartbeat
+    past the deadline), and a merely *slow* one (deadline exceeded) —
+    retires that worker, and reschedules with the existing exponential
+    backoff.  Jobs with
     ``RunSpec.checkpoint_every`` set periodically checkpoint under
     ``checkpoint_dir`` (:mod:`repro.sim.checkpoint`) and are resumed
     from their last checkpoint instead of restarting from cycle 0.
     Every exit path — success, exception, ``KeyboardInterrupt`` —
-    terminates and joins all live workers; terminal failures carry a
-    structured :class:`JobError` and a JSON dump.
+    terminates and joins all workers, idle ones included; terminal
+    failures carry a structured :class:`JobError` and a JSON dump.
 
 Workers fork from the supervisor and inherit its imports, so the worker
 path imports its modules here, at module level, not inside functions: a
 fresh worker then imports nothing but ``numpy.random`` (see
-:func:`seed_rngs_for`) before its cell runs.
+:func:`seed_rngs_for`) before its first cell runs, and its later cells
+find everything already loaded and their kernel slices compiled.
 
 Determinism contract: a :class:`RunSpec` fully determines its
 :class:`RunResult` (the simulator is single-threaded and seeded), so
@@ -66,6 +69,7 @@ differential fuzz suite pin this.
 from __future__ import annotations
 
 import errno
+import gc
 import hashlib
 import json
 import logging
@@ -515,45 +519,23 @@ def _quarantine_file(path: Path) -> Optional[Path]:
         return None
 
 
-def _supervised_worker(spec: RunSpec, attempt: int, conn, hb, slot: int,
-                       hb_interval: float, inject: Dict[str, Any],
-                       checkpoint_path) -> None:
-    """Module-level worker target (picklable under fork and spawn).
-
-    Heartbeats into ``hb[slot]`` from a daemon thread every
-    ``hb_interval`` seconds for the whole life of the attempt — the
-    supervisor treats a stale slot as a wedged worker.  The result (a
-    :class:`RunResult` or a :class:`JobError` — never a raised
-    exception) goes back over ``conn``; the pipe write blocks until the
-    parent drains it, so a worker that sent its result is by definition
-    not lost.
+def _run_attempt(spec: RunSpec, attempt: int, checkpoint_path,
+                 inject: Dict[str, Any]):
+    """One attempt inside a slot worker: apply the chaos hooks, run the
+    cell, and return its :class:`RunResult` or :class:`JobError` (never
+    raise).
 
     ``inject`` carries the chaos hooks, all keyed by spec key and (for
     the single-shot ones) firing on attempt 0 only so a retry succeeds
     deterministically: ``hang`` sleeps through the deadline (heartbeats
     keep flowing — this exercises the *runtime* deadline, not the wedge
-    detector), ``stop`` SIGSTOPs itself (all threads freeze, so
-    heartbeats stop — the wedge signature), ``kill`` SIGKILLs itself —
+    detector), ``stop`` SIGSTOPs the worker (all threads freeze, so
+    heartbeats stop — the wedge signature), ``kill`` SIGKILLs it —
     immediately when the job is not checkpointing, else right after its
     first checkpoint hits disk (the crash-recovery-with-resume path).
     ``kill_all`` kills on *every* attempt (the retries-exhausted
     negative control).
     """
-    stop_beating = threading.Event()
-    supervisor = os.getppid()
-
-    def beat():
-        while not stop_beating.is_set():
-            if os.getppid() != supervisor:
-                # The supervisor died without cleaning us up (SIGKILL on
-                # the whole service/orchestrator process): a worker must
-                # never outlive its parent as an orphan burning CPU.
-                os._exit(1)
-            hb[slot] = time.monotonic()
-            stop_beating.wait(hb_interval)
-
-    threading.Thread(target=beat, daemon=True, name="heartbeat").start()
-
     key = spec_key(spec)
     kill_always = key in inject.get("kill_all", ())
     kill_once = kill_always or (attempt == 0 and key in inject.get("kill", ()))
@@ -572,13 +554,61 @@ def _supervised_worker(spec: RunSpec, attempt: int, conn, hb, slot: int,
         result = _execute_or_resume(spec, checkpoint_path=checkpoint_path,
                                     on_checkpoint=on_checkpoint)
     except Exception as exc:
-        conn.send(_job_error(spec, exc, attempt + 1))
-    else:
-        result.attempts = attempt + 1
-        conn.send(result)
-    finally:
-        conn.close()
-        stop_beating.set()
+        return _job_error(spec, exc, attempt + 1)
+    result.attempts = attempt + 1
+    return result
+
+
+def _slot_worker(conn, hb, slot: int, hb_interval: float,
+                 inject: Dict[str, Any]) -> None:
+    """Module-level target of one worker slot (picklable under fork and
+    spawn).
+
+    The worker lives for one :meth:`Orchestrator.run` call, or until the
+    supervisor retires it, and runs its slot's attempts one after
+    another: receive ``(spec, attempt, checkpoint_path)`` over the
+    duplex ``conn``, run it (:func:`_run_attempt`), send the result
+    back, collect garbage, wait for the next.  The reply write blocks
+    until the parent drains it, so a worker that sent its result is by
+    definition not lost.
+
+    A daemon thread heartbeats into ``hb[slot]`` every ``hb_interval``
+    seconds for the whole life of the worker; the supervisor treats a
+    stale slot with an active attempt as a wedged worker.
+
+    Memory: ``gc.freeze()`` moves everything inherited from the
+    supervisor into the permanent generation, so a collection walks only
+    what this worker allocated.  The ``gc.collect()`` after each reply
+    frees the finished cell's ``Soc`` graph, which reference cycles keep
+    alive and which a long-lived process would otherwise rarely reach
+    in a generation-2 collection.
+    """
+    gc.freeze()
+    supervisor = os.getppid()
+    # Event.wait, not time.sleep: the beat must not depend on a
+    # monkeypatched time.sleep inherited from the supervisor.
+    tick = threading.Event()
+
+    def beat():
+        while True:
+            if os.getppid() != supervisor:
+                # The supervisor died without cleaning us up (SIGKILL on
+                # the whole service/orchestrator process): a worker must
+                # never outlive its parent as an orphan burning CPU.
+                os._exit(1)
+            hb[slot] = time.monotonic()
+            tick.wait(hb_interval)
+
+    threading.Thread(target=beat, daemon=True, name="heartbeat").start()
+    while True:
+        try:
+            spec, attempt, checkpoint_path = conn.recv()
+        except (EOFError, OSError):
+            return  # the supervisor closed its end
+        reply = _run_attempt(spec, attempt, checkpoint_path, inject)
+        conn.send(reply)
+        del reply
+        gc.collect()
 
 
 # -- on-disk result cache ---------------------------------------------------------
@@ -808,7 +838,9 @@ class Orchestrator:
     progress:
         Optional callback receiving structured event dicts (``start`` /
         ``spawn`` / ``done`` / ``timeout`` / ``crash`` / ``wedged`` /
-        ``failure`` / ``finish``).
+        ``failure`` / ``finish``).  ``spawn`` marks one attempt
+        dispatched to its slot's worker and carries that worker's
+        ``pid``; workers are reused, so several attempts share a pid.
     heartbeat_timeout:
         Seconds without a worker heartbeat before the supervisor
         declares it wedged, kills it, and reschedules.  Distinct from
@@ -832,11 +864,12 @@ class Orchestrator:
         Where terminal-failure JSON dumps land (falls back to
         ``$REPRO_WATCHDOG_DUMP_DIR``, like the liveness watchdog).
     inject_hang / inject_kill / inject_stop / inject_kill_all:
-        Chaos hooks, all sets of spec keys (see
-        :func:`_supervised_worker`): first attempt sleeps through its
-        deadline / SIGKILLs itself (after its first checkpoint when
-        checkpointing) / SIGSTOPs itself; ``inject_kill_all`` kills on
-        every attempt (the retries-exhausted negative control).
+        Chaos hooks, all sets of spec keys, applied by the slot worker
+        before it runs the attempt (see :func:`_run_attempt`): the first
+        attempt sleeps through its deadline / SIGKILLs its worker (after
+        its first checkpoint when checkpointing) / SIGSTOPs its worker;
+        ``inject_kill_all`` kills on every attempt (the
+        retries-exhausted negative control).
     """
 
     def __init__(self, jobs: int = 1, cache: Optional[DiskCache] = None,
@@ -1018,12 +1051,18 @@ class Orchestrator:
         return self.checkpoint_dir / f"{key}.ckpt.json"
 
     @staticmethod
-    def _cleanup_checkpoint(path: Optional[Path]) -> None:
-        """A completed job's checkpoint is dead weight; drop it (and any
-        torn ``.tmp`` a killed attempt left mid-write)."""
+    def _cleanup_checkpoint(path: Optional[Path],
+                            finished: bool = True) -> None:
+        """Drop the torn ``.tmp`` a killed attempt may have left
+        mid-write and, once the job has finished, its checkpoint too,
+        which is then dead weight.  An unfinished job keeps its
+        checkpoint for the next attempt to resume from."""
         if path is None:
             return
-        for stale in (path, path.with_suffix(path.suffix + ".tmp")):
+        doomed = [path.with_suffix(path.suffix + ".tmp")]
+        if finished:
+            doomed.append(path)
+        for stale in doomed:
             try:
                 stale.unlink()
             except OSError:
@@ -1046,16 +1085,23 @@ class Orchestrator:
         return OrchestratorError(error)
 
     def _run_pool(self, pending, cancel=None, deadline=None):
-        """Supervised fan-out: one process per job attempt, heartbeats,
-        crash/wedge/timeout detection, checkpoint-aware rescheduling.
+        """Supervised fan-out: one long-lived worker process per slot,
+        heartbeats, crash/wedge/timeout detection, checkpoint-aware
+        rescheduling.
 
-        Every worker heartbeats into a shared array and sends exactly
-        one result (:class:`RunResult` or :class:`JobError`) down its
-        own pipe.  The supervisor waits on all pipes and process
-        sentinels at once and classifies each ending:
+        A slot's worker (:func:`_slot_worker`) is forked the first time
+        an attempt is dispatched to the slot and then runs every attempt
+        the slot is given, each sent over its duplex pipe; it answers
+        each with exactly one result (:class:`RunResult` or
+        :class:`JobError`).  A worker found dead before a dispatch (it
+        died while idle) is replaced, and the attempt is sent to the new
+        one — that costs the job no retry.  The supervisor waits on the
+        pipes and process sentinels of every slot with an active attempt
+        at once and classifies each ending:
 
         - **result**: done, or a reported failure → retry with backoff,
           exhausted failures raise :class:`OrchestratorError` (+ dump);
+          the worker stays for the slot's next attempt;
         - **crash** (sentinel fired, pipe empty — SIGKILL/OOM): retry
           with backoff, resuming from the job's last checkpoint when it
           has one; exhausted crashes raise (running a crasher in-process
@@ -1065,13 +1111,20 @@ class Orchestrator:
           retries are exhausted these fall back to one in-process
           attempt, preserving the old guaranteed-progress contract.
 
-        The ``finally`` kills and joins every live worker on *all* exit
-        paths — success, failure, ``KeyboardInterrupt`` — so no chaos
-        scenario leaves an orphan process behind.
+        A crash, wedge or timeout retires the slot's worker (killed
+        before it is joined); the slot's next attempt forks a fresh one.
+        Retiring a worker mid-attempt also deletes the torn checkpoint
+        ``.tmp`` it may have been writing, and keeps the checkpoint
+        itself for the next attempt to resume from.  The ``finally``
+        kills and joins every worker, idle ones included, on *all* exit
+        paths — success, failure, cancel, deadline,
+        ``KeyboardInterrupt`` — so no worker outlives ``run()``.
         """
         ctx = multiprocessing.get_context()
         slots = min(self.jobs, len(pending))
-        hb = ctx.Array("d", slots)
+        # Lock-free: each slot has one writer, and a worker killed while
+        # holding the array's lock would block the supervisor for good.
+        hb = ctx.Array("d", slots, lock=False)
         inject = {"hang": self.inject_hang,
                   "hang_seconds": min((self.timeout or 1.0) * 10, 60.0),
                   "kill": self.inject_kill,
@@ -1082,39 +1135,70 @@ class Orchestrator:
         timeouts = 0
         retried = 0
         work = deque((key, spec, 0) for key, spec in pending)
+        workers: Dict[int, Tuple[Any, Any]] = {}  # slot -> (proc, conn)
         active: Dict[int, Dict[str, Any]] = {}  # slot -> live attempt
         free = list(range(slots - 1, -1, -1))
 
+        def fork_worker(slot):
+            conn, child = ctx.Pipe()
+            proc = ctx.Process(
+                target=_slot_worker,
+                args=(child, hb, slot, self.heartbeat_interval, inject),
+                daemon=True)  # die with the supervisor, like pool workers
+            proc.start()
+            workers[slot] = (proc, conn)
+            child.close()  # the worker's end; the supervisor keeps conn
+            return proc, conn
+
+        def drop_worker(slot):
+            proc, conn = workers.pop(slot)
+            # Kill *before* join: a stopped or sleeping worker never
+            # exits on its own, so join() first would block forever.
+            # SIGKILL works on SIGSTOPped processes too.
+            proc.kill()
+            proc.join()
+            conn.close()
+
+        def dispatch(slot, message):
+            """Send an attempt to the slot's worker, replacing a worker
+            that is missing or died while idle."""
+            if slot in workers and not workers[slot][0].is_alive():
+                _log.info("slot %d worker died while idle (exit code %s); "
+                          "replacing it", slot, workers[slot][0].exitcode)
+                drop_worker(slot)
+            proc, conn = (workers[slot] if slot in workers
+                          else fork_worker(slot))
+            try:
+                conn.send(message)
+            except OSError:  # BrokenPipeError: it died since the check
+                drop_worker(slot)
+                proc, conn = fork_worker(slot)
+                conn.send(message)
+            return proc, conn
+
         def launch(key, spec, attempt):
             slot = free.pop()
-            recv, send = ctx.Pipe(duplex=False)
             path = self._checkpoint_path(key, spec)
-            proc = ctx.Process(
-                target=_supervised_worker,
-                args=(spec, attempt, send, hb, slot,
-                      self.heartbeat_interval, inject,
-                      str(path) if path is not None else None),
-                daemon=True)  # die with the supervisor, like pool workers
             hb[slot] = time.monotonic()
-            proc.start()
-            send.close()  # child's end; parent keeps recv only
+            proc, conn = dispatch(
+                slot, (spec, attempt, str(path) if path is not None else None))
             active[slot] = {"key": key, "spec": spec, "attempt": attempt,
-                            "proc": proc, "conn": recv, "path": path,
+                            "proc": proc, "conn": conn, "path": path,
                             "started": time.monotonic()}
             self._emit({"event": "spawn", "label": spec.label(),
                         "key": key[:12], "attempt": attempt + 1,
                         "pid": proc.pid})
 
-        def retire(slot, kill=False):
-            job = active.pop(slot)
-            if kill:
-                # Kill *before* join: a stopped or sleeping worker never
-                # exits on its own, so join() first would block forever.
-                # SIGKILL works on SIGSTOPped processes too.
-                job["proc"].kill()
-            job["conn"].close()
-            job["proc"].join()
+        def release(slot):
+            """End the slot's attempt; its worker stays for the next."""
             free.append(slot)
+            return active.pop(slot)
+
+        def retire(slot):
+            """End the slot's attempt together with its worker."""
+            job = release(slot)
+            drop_worker(slot)
+            self._cleanup_checkpoint(job["path"], finished=False)
             return job
 
         def reschedule(job, kind):
@@ -1172,7 +1256,7 @@ class Orchestrator:
             """The job an abort is attributed to: the oldest live
             attempt, else the head of the work queue."""
             if active:
-                job = active[min(active)]
+                job = min(active.values(), key=lambda job: job["started"])
                 return job["spec"], job["attempt"] + 1
             key, spec, attempt = work[0]
             return spec, attempt + 1
@@ -1189,9 +1273,10 @@ class Orchestrator:
                         _job_error_shell(spec, "deadline", attempt=attempt))
                 while work and free:
                     launch(*work.popleft())
-                # One multiplexed wait on every result pipe and process
-                # sentinel; the timeout bounds deadline-check latency.
-                # (Never time.sleep here: backoff must own that call.)
+                # One multiplexed wait on every active result pipe and
+                # process sentinel; the timeout bounds deadline-check
+                # latency.  (Never time.sleep here: backoff must own that
+                # call.)
                 waitables = [job["conn"] for job in active.values()]
                 waitables += [job["proc"].sentinel for job in active.values()]
                 if waitables:
@@ -1206,7 +1291,7 @@ class Orchestrator:
                         except (EOFError, OSError):
                             result = None  # died mid-send: a crash
                     if result is not None:
-                        job = retire(slot)
+                        job = release(slot)
                         if isinstance(result, JobError):
                             self.failures.append(result)
                             self._emit({"event": "failure",
@@ -1238,25 +1323,28 @@ class Orchestrator:
                     if (self.timeout is not None
                             and now - job["started"] > self.timeout):
                         timeouts += 1
-                        job = retire(slot, kill=True)
+                        job = retire(slot)
                         done = reschedule(job, "timeout")
                         if done is not None:
                             finish(job, done)
                         continue
                     if now - hb[slot] > self.heartbeat_timeout:
                         self._wedged += 1
-                        job = retire(slot, kill=True)
+                        job = retire(slot)
                         done = reschedule(job, "wedged")
                         if done is not None:
                             finish(job, done)
         finally:
-            # The no-orphans guarantee: kill + join every live worker on
-            # every exit path (KeyboardInterrupt included).
+            # The no-orphans guarantee: kill + join every worker, idle or
+            # not, on every exit path (KeyboardInterrupt included), then
+            # drop the torn checkpoint writes of the attempts cut short.
+            for proc, _ in workers.values():
+                proc.kill()
+            for proc, conn in workers.values():
+                proc.join()
+                conn.close()
             for job in active.values():
-                job["proc"].kill()
-            for job in active.values():
-                job["proc"].join()
-                job["conn"].close()
+                self._cleanup_checkpoint(job["path"], finished=False)
         return executed, timeouts, retried
 
     # -- plumbing -----------------------------------------------------------------

@@ -482,6 +482,75 @@ def test_keyboard_interrupt_leaves_no_orphan_workers():
     assert multiprocessing.active_children() == []
 
 
+# -- slot workers: reuse, order independence, idle death ---------------------------
+
+#: Six distinct cheap cells, so each of two slot workers runs several.
+LIFECYCLE_SPECS = (
+    RunSpec("spmv", "doall", threads=2),
+    RunSpec("spmv", "maple-decouple", threads=2),
+    RunSpec("spmv", "lima", threads=1),
+    RunSpec("sdhp", "doall", threads=2),
+    RunSpec("sdhp", "maple-decouple", threads=2),
+    RunSpec("spmv", "doall", threads=1),
+)
+
+
+def test_slot_workers_are_reused_across_cells():
+    """One worker per slot for the whole run, not one process per cell."""
+    import multiprocessing
+
+    results = Orchestrator(jobs=2).run(LIFECYCLE_SPECS)
+    assert len({r.worker_pid for r in results}) <= 2
+    assert identities(results) == [execute_spec(spec).identity()
+                                   for spec in LIFECYCLE_SPECS]
+    assert multiprocessing.active_children() == []
+
+
+def test_cell_results_do_not_depend_on_the_cells_run_before():
+    """Reversing the batch changes which cells each worker ran earlier,
+    and must change no number."""
+    import multiprocessing
+
+    forward = Orchestrator(jobs=2).run(LIFECYCLE_SPECS)
+    backward = Orchestrator(jobs=2).run(LIFECYCLE_SPECS[::-1])
+    assert ({r.key: r.identity() for r in forward}
+            == {r.key: r.identity() for r in backward})
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_killed_while_idle_is_replaced_without_a_retry():
+    """A worker that dies between attempts is replaced at its slot's
+    next dispatch: no job is lost, failed or charged a retry."""
+    import multiprocessing
+    import os
+    import signal
+
+    baseline = identities(Orchestrator(jobs=1).run(LIFECYCLE_SPECS))
+    pids = {}
+    killed = []
+
+    def assassin(event):
+        if event["event"] == "spawn":
+            pids[event["key"]] = event["pid"]
+        elif event["event"] == "done" and not killed:
+            pid = pids[event["key"]]
+            os.kill(pid, signal.SIGKILL)
+            # Wait for the death without reaping: the supervisor's
+            # next dispatch to this slot must find the worker dead.
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+            killed.append(pid)
+
+    orch = Orchestrator(jobs=2, retries=0, progress=assassin)
+    results = orch.run(LIFECYCLE_SPECS)
+    assert killed
+    assert identities(results) == baseline
+    assert orch.report["crashes"] == 0 and orch.report["retries"] == 0
+    assert orch.failures == []
+    assert all(r.attempts == 1 for r in results)
+    assert len(set(pids.values())) == 3  # the dead worker was replaced
+    assert multiprocessing.active_children() == []
+
+
 # -- DiskCache robustness: digests, quarantine, reaping, write failures ------------
 
 
@@ -606,6 +675,70 @@ def test_cancel_event_aborts_the_pool_with_typed_error():
     assert error.exc_type == "JobCancelled"
     assert error.detection == "cancelled"
     assert multiprocessing.active_children() == []
+
+
+def test_abort_blames_the_oldest_live_attempt():
+    """A cancel is attributed to the attempt that started first, not to
+    the one on the lowest slot: C reuses A's slot 0 while B, started
+    before C, still hangs on slot 1."""
+    import multiprocessing
+    import threading
+
+    from repro.harness.orchestrator import OrchestratorError
+
+    short = RunSpec("spmv", "lima", threads=1)
+    hung = RunSpec("spmv", "doall", threads=2)
+    late = RunSpec("sdhp", "doall", threads=2)
+    cancel = threading.Event()
+    spawned = []
+
+    def tripwire(event):
+        if event["event"] == "spawn":
+            spawned.append(event["key"])
+            if len(spawned) == 3:
+                cancel.set()
+
+    orch = Orchestrator(jobs=2, progress=tripwire,
+                        inject_hang=frozenset({spec_key(hung)}))
+    with pytest.raises(OrchestratorError) as excinfo:
+        orch.run([short, hung, late], cancel=cancel)
+    assert spawned[2] == spec_key(late)[:12]  # C took a freed slot
+    error = excinfo.value.job_error
+    assert error.exc_type == "JobCancelled"
+    assert error.key == spec_key(hung)
+    assert multiprocessing.active_children() == []
+
+
+def test_cancel_drops_the_torn_checkpoint_tmp_but_keeps_the_checkpoint(
+        tmp_path):
+    """A worker killed mid-attempt may have been inside Checkpoint.save:
+    its torn ``.tmp`` goes, the last whole checkpoint stays for the next
+    attempt to resume from."""
+    import threading
+
+    from repro.harness.orchestrator import OrchestratorError
+
+    spec = RunSpec("spmv", "lima", threads=1, checkpoint_every=15_000)
+    ckpt = tmp_path / "ckpt" / f"{spec_key(spec)}.ckpt.json"
+    torn = ckpt.with_name(ckpt.name + ".tmp")
+    cancel = threading.Event()
+
+    def tripwire(event):
+        if event["event"] == "spawn":
+            ckpt.write_text("{}")
+            torn.write_text('{"partial')
+            cancel.set()
+
+    # The hang keeps the worker asleep, away from both files, until it
+    # is killed.
+    orch = Orchestrator(jobs=2, checkpoint_dir=tmp_path / "ckpt",
+                        progress=tripwire,
+                        inject_hang=frozenset({spec_key(spec)}))
+    with pytest.raises(OrchestratorError) as excinfo:
+        orch.run([spec], cancel=cancel)
+    assert excinfo.value.job_error.exc_type == "JobCancelled"
+    assert not torn.exists()
+    assert ckpt.exists()
 
 
 def test_timeout_with_deadline_action_fail_is_typed_not_fallback():
