@@ -381,8 +381,8 @@ class JobError:
     fault_seed: Optional[int] = None
     worker_pid: int = 0
     #: How the supervisor learned of the failure: "exception" (worker
-    #: reported it), "crash" (process died without a result — SIGKILL,
-    #: OOM), or "wedged" (alive but no heartbeat past the deadline).
+    #: reported it) or "crash" (process died without a result — SIGKILL,
+    #: OOM).
     detection: str = "exception"
     #: The dead worker's exit code for crashes (negative = signal).
     exit_code: Optional[int] = None
@@ -421,48 +421,23 @@ def _job_error(spec: RunSpec, exc: BaseException, attempt: int) -> JobError:
     )
 
 
-#: Typed exception names for supervisor-detected (no worker traceback)
-#: failures, keyed by how the supervisor learned of them.
-_DETECTION_TYPES = {
-    "crash": "WorkerCrashed",
-    "wedged": "WorkerWedged",
-    "timeout": "JobTimeout",
-    "deadline": "JobDeadlineExceeded",
-    "cancelled": "JobCancelled",
-}
-
-
-def _job_error_shell(spec: RunSpec, detection: str, attempt: int,
-                     exit_code: Optional[int] = None,
-                     pid: int = 0,
-                     message: Optional[str] = None) -> JobError:
-    """A :class:`JobError` for failures with no worker-side exception —
-    the process died, went silent, blew its deadline, or was cancelled
-    before it could report one."""
-    if message is None:
-        if detection in ("crash", "wedged"):
-            message = (f"worker pid {pid} ended without reporting a result "
-                       f"(detection={detection}, exit code {exit_code})")
-        elif detection == "timeout":
-            message = (f"attempt {attempt} exceeded the per-attempt runtime "
-                       "deadline and retries are exhausted "
-                       "(deadline_action='fail')")
-        elif detection == "deadline":
-            message = "the job's overall deadline budget expired mid-run"
-        else:
-            message = "the run was cancelled by its caller"
+def _crash_error(spec: RunSpec, attempt: int, exit_code: Optional[int],
+                 pid: int) -> JobError:
+    """A :class:`JobError` for a worker that died without reporting a
+    result (no worker-side exception, so no traceback)."""
     return JobError(
         label=spec.label(),
         key=spec_key(spec),
-        exc_type=_DETECTION_TYPES[detection],
-        message=message,
+        exc_type="WorkerCrashed",
+        message=(f"worker pid {pid} ended without reporting a result "
+                 f"(detection=crash, exit code {exit_code})"),
         traceback="",
         attempt=attempt,
         fault_seed=(spec.fault_plan.seed if spec.fault_plan is not None
                     else spec.integrity_plan.seed
                     if spec.integrity_plan is not None else None),
         worker_pid=pid,
-        detection=detection,
+        detection="crash",
         exit_code=exit_code,
     )
 
@@ -504,11 +479,17 @@ def _execute_or_resume(spec: RunSpec, checkpoint_path=None,
 
 def _quarantine_file(path: Path) -> Optional[Path]:
     """Move a corrupt file into a ``quarantine/`` sibling directory
-    (kept for post-mortem, out of every reader's way)."""
+    (kept for post-mortem, out of every reader's way).  A name already
+    taken by earlier evidence is never overwritten: the second copy of
+    ``k.json`` becomes ``k.json.1.quarantined``, and so on."""
     dest_dir = path.parent / "quarantine"
     try:
         dest_dir.mkdir(parents=True, exist_ok=True)
         dest = dest_dir / (path.name + ".quarantined")
+        copy = 0
+        while dest.exists():
+            copy += 1
+            dest = dest_dir / f"{path.name}.{copy}.quarantined"
         path.replace(dest)
         return dest
     except OSError:  # pragma: no cover - racing unlink/permissions
@@ -593,8 +574,8 @@ def _slot_worker(conn, hb, slot: int, hb_interval: float,
         while True:
             if os.getppid() != supervisor:
                 # The supervisor died without cleaning us up (SIGKILL on
-                # the whole service/orchestrator process): a worker must
-                # never outlive its parent as an orphan burning CPU.
+                # the orchestrator process): a worker must never outlive
+                # its parent as an orphan burning CPU.
                 os._exit(1)
             hb[slot] = time.monotonic()
             tick.wait(hb_interval)
@@ -639,31 +620,17 @@ class DiskCache:
       (ENOSPC, read-only filesystem) is absorbed and counted — losing a
       cache entry must never sink the run that produced the result;
     - ``.tmp``/``.lock`` litter older than ``reap_after`` seconds (dead
-      writers) is deleted at construction;
-    - with ``max_bytes`` set the cache is **size-capped LRU**: every hit
-      touches its entry's mtime (the recency clock) and every write
-      evicts least-recently-used entries until the total ``*.json``
-      footprint fits — the cache can no longer grow without bound under
-      sweep traffic.  Evictions are counted (``evicted`` /
-      ``evicted_bytes``) and surface in the orchestrator's progress
-      report.  Quarantined files do not count against the cap (they are
-      post-mortem evidence, reaped by humans).
+      writers) is deleted at construction.
     """
 
     def __init__(self, root: Path, reap_after: float = 300.0,
-                 inject_write_error: FrozenSet[str] = frozenset(),
-                 max_bytes: Optional[int] = None):
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError("max_bytes must be positive (or None)")
+                 inject_write_error: FrozenSet[str] = frozenset()):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.max_bytes = max_bytes
         self.hits = 0
         self.misses = 0
         self.quarantined = 0
         self.write_errors = 0
-        self.evicted = 0
-        self.evicted_bytes = 0
         #: Chaos hook: keys whose put() raises ENOSPC (then absorbed).
         self.inject_write_error = frozenset(inject_write_error)
         self.reaped = self._reap_stale(reap_after)
@@ -724,11 +691,6 @@ class DiskCache:
             self._quarantine(path, f"malformed payload: {err!r}")
             return None
         self.hits += 1
-        if self.max_bytes is not None:
-            try:  # touch: mtime is the LRU recency clock
-                os.utime(path)
-            except OSError:  # racing eviction/unlink: the read stands
-                pass
         return result
 
     def put(self, key: str, result: RunResult) -> None:
@@ -749,53 +711,12 @@ class DiskCache:
                 tmp.unlink()
             except OSError:
                 pass
-            return
-        self._evict_to_fit(keep=path)
-
-    def _evict_to_fit(self, keep: Path) -> None:
-        """Drop least-recently-used entries until the footprint fits
-        ``max_bytes``.  The just-written entry is never evicted (a cache
-        that immediately evicts its own writes caches nothing)."""
-        if self.max_bytes is None:
-            return
-        entries = []
-        total = 0
-        for path in self.root.glob("*.json"):
-            try:
-                stat = path.stat()
-            except OSError:  # racing writer/eviction
-                continue
-            total += stat.st_size
-            if path != keep:
-                entries.append((stat.st_mtime, stat.st_size, path))
-        entries.sort()
-        dropped = 0
-        while total > self.max_bytes and entries:
-            _, size, victim = entries.pop(0)
-            try:
-                victim.unlink()
-            except OSError:
-                continue
-            total -= size
-            dropped += 1
-            self.evicted += 1
-            self.evicted_bytes += size
-        if dropped:
-            _log.info("cache %s: evicted %d LRU entr%s to fit %d bytes",
-                      self.root, dropped, "y" if dropped == 1 else "ies",
-                      self.max_bytes)
-
-    def size_bytes(self) -> int:
-        """Current ``*.json`` footprint (quarantine excluded)."""
-        return sum(p.stat().st_size for p in self.root.glob("*.json"))
 
     def counters(self) -> Dict[str, int]:
-        """Robustness/occupancy counters, for reports and health probes."""
+        """Robustness counters, for the orchestrator's report."""
         return {"hits": self.hits, "misses": self.misses,
                 "quarantined": self.quarantined,
                 "write_errors": self.write_errors,
-                "evicted": self.evicted,
-                "evicted_bytes": self.evicted_bytes,
                 "reaped": self.reaped}
 
     def __len__(self) -> int:
@@ -848,13 +769,6 @@ class Orchestrator:
         SIGSTOPped or scheduler-starved one goes silent.
     heartbeat_interval:
         How often each worker's daemon thread stamps its heartbeat slot.
-    deadline_action:
-        What exhausted timeouts/wedges do.  ``"fallback"`` (default, the
-        historical contract) makes one final in-process attempt, so a
-        batch sweep always makes progress.  ``"fail"`` raises a typed
-        :class:`OrchestratorError` (``JobTimeout``/``WorkerWedged``)
-        instead — the contract a serving layer needs, where a deadline
-        is a promise to the client, not a hint.
     checkpoint_dir:
         Directory for per-job checkpoint files.  Jobs whose spec sets
         ``checkpoint_every`` save there periodically and — after a
@@ -883,8 +797,7 @@ class Orchestrator:
                  dump_dir: Optional[str] = None,
                  inject_kill: FrozenSet[str] = frozenset(),
                  inject_stop: FrozenSet[str] = frozenset(),
-                 inject_kill_all: FrozenSet[str] = frozenset(),
-                 deadline_action: str = "fallback"):
+                 inject_kill_all: FrozenSet[str] = frozenset()):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         if retries < 0:
@@ -893,8 +806,6 @@ class Orchestrator:
             raise ValueError("backoff must be >= 0")
         if heartbeat_timeout <= 0 or heartbeat_interval <= 0:
             raise ValueError("heartbeat timings must be > 0")
-        if deadline_action not in ("fallback", "fail"):
-            raise ValueError("deadline_action must be 'fallback' or 'fail'")
         self.jobs = jobs
         self.cache = cache
         self.timeout = timeout
@@ -907,7 +818,6 @@ class Orchestrator:
         self.inject_kill_all = frozenset(inject_kill_all)
         self.heartbeat_timeout = heartbeat_timeout
         self.heartbeat_interval = heartbeat_interval
-        self.deadline_action = deadline_action
         self.checkpoint_dir = (Path(checkpoint_dir)
                                if checkpoint_dir is not None else None)
         self.dump_dir = dump_dir
@@ -921,25 +831,15 @@ class Orchestrator:
 
     # -- public API ---------------------------------------------------------------
 
-    def run(self, specs: Sequence[RunSpec],
-            cancel: Optional[threading.Event] = None,
-            deadline: Optional[float] = None) -> List[RunResult]:
+    def run(self, specs: Sequence[RunSpec]) -> List[RunResult]:
         """Execute every spec; results come back in submission order.
 
         Identical specs (same key) within one batch are simulated once
         and fanned out — the figure code can stay naive about shared
-        baselines.
-
-        ``cancel`` (a :class:`threading.Event`, settable from any
-        thread) aborts the whole run at the next supervision tick: live
-        workers are killed + joined and a typed ``JobCancelled``
-        :class:`OrchestratorError` is raised.  ``deadline`` (a
-        ``time.monotonic()`` timestamp) bounds the *whole call* — per
-        attempt ``timeout`` still applies on top — and blows up as a
-        typed ``JobDeadlineExceeded``.  In the serial (``jobs=1``) path
-        both are checked between cells only: an in-process cell cannot
-        be preempted, which is exactly why the serving layer runs the
-        supervised pool.
+        baselines.  A cell that fails on every attempt raises
+        :class:`OrchestratorError`; a hung or wedged cell whose retries
+        are exhausted gets one final in-process attempt instead, so a
+        sweep always makes progress.
         """
         started = time.perf_counter()
         self._crashes = 0
@@ -972,10 +872,9 @@ class Orchestrator:
 
         if pending:
             if self.jobs == 1:
-                executed = self._run_serial(pending, cancel, deadline)
+                executed = self._run_serial(pending)
             else:
-                executed, timeouts, retried = self._run_pool(
-                    pending, cancel, deadline)
+                executed, timeouts, retried = self._run_pool(pending)
             for key, result in executed.items():
                 results[key] = result
                 if self.cache is not None:
@@ -992,7 +891,6 @@ class Orchestrator:
             "crashes": self._crashes,
             "wedged": self._wedged,
             "resumed": sum(1 for r in results.values() if r.resumed),
-            "cache_evictions": self.cache.evicted if self.cache else 0,
             "cache_counters": (self.cache.counters()
                                if self.cache is not None else None),
             "jobs": self.jobs,
@@ -1012,16 +910,9 @@ class Orchestrator:
 
     # -- execution strategies -----------------------------------------------------
 
-    def _run_serial(self, pending, cancel=None,
-                    deadline=None) -> Dict[str, RunResult]:
+    def _run_serial(self, pending) -> Dict[str, RunResult]:
         executed: Dict[str, RunResult] = {}
         for key, spec in pending:
-            if cancel is not None and cancel.is_set():
-                raise self._terminal_failure(
-                    _job_error_shell(spec, "cancelled", attempt=1))
-            if deadline is not None and time.monotonic() > deadline:
-                raise self._terminal_failure(
-                    _job_error_shell(spec, "deadline", attempt=1))
             path = self._checkpoint_path(key, spec)
             try:
                 result = _execute_or_resume(spec, checkpoint_path=path)
@@ -1084,7 +975,7 @@ class Orchestrator:
                         "exc_type": error.exc_type, "message": error.message})
         return OrchestratorError(error)
 
-    def _run_pool(self, pending, cancel=None, deadline=None):
+    def _run_pool(self, pending):
         """Supervised fan-out: one long-lived worker process per slot,
         heartbeats, crash/wedge/timeout detection, checkpoint-aware
         rescheduling.
@@ -1117,8 +1008,8 @@ class Orchestrator:
         ``.tmp`` it may have been writing, and keeps the checkpoint
         itself for the next attempt to resume from.  The ``finally``
         kills and joins every worker, idle ones included, on *all* exit
-        paths — success, failure, cancel, deadline,
-        ``KeyboardInterrupt`` — so no worker outlives ``run()``.
+        paths — success, failure, ``KeyboardInterrupt`` — so no worker
+        outlives ``run()``.
         """
         ctx = multiprocessing.get_context()
         slots = min(self.jobs, len(pending))
@@ -1219,17 +1110,9 @@ class Orchestrator:
                 # Exhausted crashes are terminal: whatever killed the
                 # worker (OOM, a broken native extension) could take the
                 # supervisor down if rerun in-process.
-                error = _job_error_shell(
-                    job["spec"], detection="crash", attempt=attempt,
+                error = _crash_error(
+                    job["spec"], attempt=attempt,
                     exit_code=job["proc"].exitcode, pid=job["proc"].pid)
-                raise self._terminal_failure(error)
-            if self.deadline_action == "fail":
-                # Serving contract: a blown deadline is a typed answer,
-                # not a license to keep burning the supervisor's time.
-                error = _job_error_shell(
-                    job["spec"],
-                    detection="timeout" if kind == "timeout" else "wedged",
-                    attempt=attempt, pid=job["proc"].pid)
                 raise self._terminal_failure(error)
             # Timeouts/wedges keep the guaranteed-progress contract:
             # one final in-process attempt (resuming from checkpoint).
@@ -1252,25 +1135,8 @@ class Orchestrator:
                         "attempts": result.attempts,
                         "resumed": result.resumed})
 
-        def abort_target():
-            """The job an abort is attributed to: the oldest live
-            attempt, else the head of the work queue."""
-            if active:
-                job = min(active.values(), key=lambda job: job["started"])
-                return job["spec"], job["attempt"] + 1
-            key, spec, attempt = work[0]
-            return spec, attempt + 1
-
         try:
             while work or active:
-                if cancel is not None and cancel.is_set():
-                    spec, attempt = abort_target()
-                    raise self._terminal_failure(
-                        _job_error_shell(spec, "cancelled", attempt=attempt))
-                if deadline is not None and time.monotonic() > deadline:
-                    spec, attempt = abort_target()
-                    raise self._terminal_failure(
-                        _job_error_shell(spec, "deadline", attempt=attempt))
                 while work and free:
                     launch(*work.popleft())
                 # One multiplexed wait on every active result pipe and
@@ -1356,17 +1222,11 @@ class Orchestrator:
 
 def make_orchestrator(jobs: int = 1, use_cache: bool = False,
                       cache_dir: Optional[Path] = None,
-                      timeout: Optional[float] = None, retries: int = 1,
-                      backoff: float = 0.0,
-                      progress: Optional[ProgressFn] = None,
-                      checkpoint_dir: Optional[Path] = None,
-                      dump_dir: Optional[str] = None,
-                      cache_max_bytes: Optional[int] = None) -> Orchestrator:
-    """CLI/benchmark convenience constructor."""
-    cache = None
-    if use_cache:
-        cache = DiskCache(cache_dir or default_cache_dir(),
-                          max_bytes=cache_max_bytes)
+                      timeout: Optional[float] = None,
+                      progress: Optional[ProgressFn] = None) -> Orchestrator:
+    """The ``python -m repro.harness`` constructor: an :class:`Orchestrator`
+    with an optional :class:`DiskCache` (default location
+    :func:`default_cache_dir`)."""
+    cache = DiskCache(cache_dir or default_cache_dir()) if use_cache else None
     return Orchestrator(jobs=jobs, cache=cache, timeout=timeout,
-                        retries=retries, backoff=backoff, progress=progress,
-                        checkpoint_dir=checkpoint_dir, dump_dir=dump_dir)
+                        progress=progress)

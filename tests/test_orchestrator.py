@@ -374,6 +374,39 @@ def test_crashed_job_resumes_from_checkpoint(tmp_path):
     assert not list((tmp_path / "ckpt").glob("*.ckpt.json*"))
 
 
+def test_retired_worker_drops_the_torn_checkpoint_tmp_but_keeps_the_checkpoint(
+        tmp_path):
+    """A worker killed mid-attempt may have been inside Checkpoint.save:
+    retiring it deletes its torn ``.tmp`` and keeps the last whole
+    checkpoint for the next attempt to resume from.  The ``timeout``
+    event fires after the retire and before the retry is dispatched."""
+    import multiprocessing
+
+    spec = RunSpec("spmv", "lima", threads=1, checkpoint_every=15_000)
+    ckpt = tmp_path / "ckpt" / f"{spec_key(spec)}.ckpt.json"
+    torn = ckpt.with_name(ckpt.name + ".tmp")
+    seen = []
+
+    def tripwire(event):
+        if event["event"] == "spawn" and event["attempt"] == 1:
+            ckpt.write_text("{}")
+            torn.write_text('{"partial')
+        elif event["event"] == "timeout" and event["attempt"] == 1:
+            seen.append((torn.exists(), ckpt.exists()))
+
+    # The hang keeps the worker asleep, away from both files, until the
+    # timeout retires it.
+    orch = Orchestrator(jobs=2, timeout=1.0, retries=1,
+                        heartbeat_timeout=60.0,
+                        checkpoint_dir=tmp_path / "ckpt", progress=tripwire,
+                        inject_hang=frozenset({spec_key(spec)}))
+    results = orch.run([spec])
+    assert seen == [(False, True)]
+    assert results[0].identity() == execute_spec(
+        RunSpec("spmv", "lima", threads=1)).identity()
+    assert multiprocessing.active_children() == []
+
+
 #: Child for the import-closure guard.  It snapshots ``sys.modules``
 #: after ``import repro.harness`` (what a supervisor holds when it forks
 #: a worker), measures the ``numpy.random`` closure, then runs cells
@@ -586,6 +619,20 @@ def test_cache_quarantines_truncated_entry(tmp_path):
     assert cache.quarantined == 1
 
 
+def test_cache_quarantine_keeps_every_corrupt_copy(tmp_path):
+    """Two corruptions of the same key are two pieces of evidence: the
+    second must not overwrite the first in ``quarantine/``."""
+    cache = DiskCache(tmp_path)
+    path = tmp_path / "deadbeef.json"
+    for garbage in ("torn-1", "torn-2"):
+        cache.put("deadbeef", _fake_result())
+        path.write_text(garbage)
+        assert cache.get("deadbeef") is None
+    assert cache.quarantined == 2
+    kept = sorted(p.read_text() for p in cache.quarantine_dir.iterdir())
+    assert kept == ["torn-1", "torn-2"]
+
+
 def test_cache_write_error_is_absorbed_and_counted(tmp_path):
     cache = DiskCache(tmp_path, inject_write_error=frozenset({"deadbeef"}))
     cache.put("deadbeef", _fake_result())
@@ -616,228 +663,3 @@ def test_heartbeat_validation():
         Orchestrator(heartbeat_timeout=0)
     with pytest.raises(ValueError):
         Orchestrator(heartbeat_interval=-1.0)
-
-
-# -- deadline budgets, cancellation, typed timeouts (service seams) ----------------
-
-
-def test_deadline_expiring_mid_run_is_killed_typed_and_orphan_free():
-    """A job whose overall deadline budget dies mid-simulation must be
-    killed, retired as a typed JobDeadlineExceeded, and leave nothing
-    behind — the promise the serving layer builds on.  The attempt is
-    made to sleep past the deadline, so a fast worker cannot finish
-    first."""
-    import multiprocessing
-    import time
-
-    from repro.harness.orchestrator import OrchestratorError
-
-    spec = RunSpec("spmv", "doall", threads=2, scale=4)
-    orch = Orchestrator(jobs=2, deadline_action="fail",
-                        inject_hang=frozenset({spec_key(spec)}))
-    with pytest.raises(OrchestratorError) as excinfo:
-        orch.run([spec], deadline=time.monotonic() + 0.2)
-    error = excinfo.value.job_error
-    assert error.exc_type == "JobDeadlineExceeded"
-    assert error.detection == "deadline"
-    assert multiprocessing.active_children() == []
-
-
-def test_deadline_in_serial_path_is_checked_between_cells():
-    import time
-
-    from repro.harness.orchestrator import OrchestratorError
-
-    orch = Orchestrator(jobs=1)
-    with pytest.raises(OrchestratorError) as excinfo:
-        orch.run([RunSpec("spmv", "lima", threads=1)],
-                 deadline=time.monotonic() - 1.0)
-    assert excinfo.value.job_error.exc_type == "JobDeadlineExceeded"
-
-
-def test_cancel_event_aborts_the_pool_with_typed_error():
-    import multiprocessing
-    import threading
-
-    from repro.harness.orchestrator import OrchestratorError
-
-    cancel = threading.Event()
-
-    def tripwire(event):
-        if event["event"] == "spawn":
-            cancel.set()
-
-    orch = Orchestrator(jobs=2, progress=tripwire)
-    with pytest.raises(OrchestratorError) as excinfo:
-        orch.run([RunSpec("spmv", "doall", threads=2, scale=4)],
-                 cancel=cancel)
-    error = excinfo.value.job_error
-    assert error.exc_type == "JobCancelled"
-    assert error.detection == "cancelled"
-    assert multiprocessing.active_children() == []
-
-
-def test_abort_blames_the_oldest_live_attempt():
-    """A cancel is attributed to the attempt that started first, not to
-    the one on the lowest slot: C reuses A's slot 0 while B, started
-    before C, still hangs on slot 1."""
-    import multiprocessing
-    import threading
-
-    from repro.harness.orchestrator import OrchestratorError
-
-    short = RunSpec("spmv", "lima", threads=1)
-    hung = RunSpec("spmv", "doall", threads=2)
-    late = RunSpec("sdhp", "doall", threads=2)
-    cancel = threading.Event()
-    spawned = []
-
-    def tripwire(event):
-        if event["event"] == "spawn":
-            spawned.append(event["key"])
-            if len(spawned) == 3:
-                cancel.set()
-
-    orch = Orchestrator(jobs=2, progress=tripwire,
-                        inject_hang=frozenset({spec_key(hung)}))
-    with pytest.raises(OrchestratorError) as excinfo:
-        orch.run([short, hung, late], cancel=cancel)
-    assert spawned[2] == spec_key(late)[:12]  # C took a freed slot
-    error = excinfo.value.job_error
-    assert error.exc_type == "JobCancelled"
-    assert error.key == spec_key(hung)
-    assert multiprocessing.active_children() == []
-
-
-def test_cancel_drops_the_torn_checkpoint_tmp_but_keeps_the_checkpoint(
-        tmp_path):
-    """A worker killed mid-attempt may have been inside Checkpoint.save:
-    its torn ``.tmp`` goes, the last whole checkpoint stays for the next
-    attempt to resume from."""
-    import threading
-
-    from repro.harness.orchestrator import OrchestratorError
-
-    spec = RunSpec("spmv", "lima", threads=1, checkpoint_every=15_000)
-    ckpt = tmp_path / "ckpt" / f"{spec_key(spec)}.ckpt.json"
-    torn = ckpt.with_name(ckpt.name + ".tmp")
-    cancel = threading.Event()
-
-    def tripwire(event):
-        if event["event"] == "spawn":
-            ckpt.write_text("{}")
-            torn.write_text('{"partial')
-            cancel.set()
-
-    # The hang keeps the worker asleep, away from both files, until it
-    # is killed.
-    orch = Orchestrator(jobs=2, checkpoint_dir=tmp_path / "ckpt",
-                        progress=tripwire,
-                        inject_hang=frozenset({spec_key(spec)}))
-    with pytest.raises(OrchestratorError) as excinfo:
-        orch.run([spec], cancel=cancel)
-    assert excinfo.value.job_error.exc_type == "JobCancelled"
-    assert not torn.exists()
-    assert ckpt.exists()
-
-
-def test_timeout_with_deadline_action_fail_is_typed_not_fallback():
-    """deadline_action='fail' turns retry exhaustion on a hung worker
-    into a typed JobTimeout instead of the in-process fallback."""
-    import multiprocessing
-
-    from repro.harness.orchestrator import OrchestratorError
-
-    spec = RunSpec("spmv", "lima", threads=1)
-    orch = Orchestrator(jobs=2, timeout=0.3, retries=0,
-                        heartbeat_timeout=60.0, deadline_action="fail",
-                        inject_hang=frozenset({spec_key(spec)}))
-    with pytest.raises(OrchestratorError) as excinfo:
-        orch.run([spec])
-    error = excinfo.value.job_error
-    assert error.exc_type == "JobTimeout"
-    assert error.detection == "timeout"
-    assert "retries are exhausted" in error.message
-    assert multiprocessing.active_children() == []
-
-
-def test_deadline_action_default_keeps_the_fallback_contract():
-    """The historical guaranteed-progress default is untouched: with
-    deadline_action='fallback' a hung worker still ends in-process."""
-    spec = RunSpec("spmv", "lima", threads=1)
-    orch = Orchestrator(jobs=2, timeout=0.3, retries=0,
-                        heartbeat_timeout=60.0,
-                        inject_hang=frozenset({spec_key(spec)}))
-    results = orch.run([spec])
-    assert results[0].identity() == execute_spec(spec).identity()
-
-
-def test_deadline_action_validation():
-    with pytest.raises(ValueError):
-        Orchestrator(deadline_action="explode")
-
-
-# -- DiskCache size-capped LRU eviction --------------------------------------------
-
-
-def _entry_bytes(tmp_path) -> int:
-    """Size of one real on-disk cache entry (digest included)."""
-    probe = DiskCache(tmp_path / "probe")
-    probe.put("probe", _fake_result())
-    return (tmp_path / "probe" / "probe.json").stat().st_size
-
-
-def test_cache_lru_evicts_oldest_beyond_the_byte_cap(tmp_path):
-    import os
-    import time as _time
-
-    entry = _entry_bytes(tmp_path)
-    cache = DiskCache(tmp_path / "c", max_bytes=2 * entry + 2)
-    for index, key in enumerate(("aaa", "bbb", "ccc")):
-        cache.put(key, _fake_result(cycles=index + 1))
-        past = _time.time() - 100 + index  # strictly ordered mtimes
-        os.utime(tmp_path / "c" / f"{key}.json", (past, past))
-    cache._evict_to_fit(keep=tmp_path / "c" / "ccc.json")
-
-    assert cache.get("aaa") is None       # oldest went first
-    assert cache.get("ccc") is not None
-    assert cache.evicted >= 1
-    assert cache.size_bytes() <= 2 * entry + 2
-    assert cache.counters()["evicted"] == cache.evicted
-
-
-def test_cache_lru_touch_on_hit_protects_hot_entries(tmp_path):
-    import os
-    import time as _time
-
-    entry = _entry_bytes(tmp_path)
-    cache = DiskCache(tmp_path / "c", max_bytes=2 * entry + 2)
-    cache.put("hot", _fake_result(cycles=1))
-    cache.put("cold", _fake_result(cycles=2))
-    assert cache.evicted == 0, "two entries must fit under the cap"
-    for index, key in enumerate(("hot", "cold")):
-        past = _time.time() - 100 + index
-        os.utime(tmp_path / "c" / f"{key}.json", (past, past))
-    assert cache.get("hot") is not None   # touch refreshes its mtime
-    cache.put("new", _fake_result(cycles=3))
-
-    assert cache.get("hot") is not None, "recently-read entry was evicted"
-    assert cache.get("cold") is None, "LRU victim survived"
-
-
-def test_cache_eviction_counters_surface_in_the_report(tmp_path):
-    orch = make_orchestrator(jobs=1, use_cache=True, cache_dir=tmp_path,
-                             cache_max_bytes=1)
-    orch.run([RunSpec("spmv", "lima", threads=1)])
-    assert orch.report["cache_evictions"] == 0  # `keep` is never evicted
-    assert orch.report["cache_counters"]["evicted"] == 0
-    orch.run([RunSpec("sdhp", "doall", threads=2)])
-    assert orch.report["cache_evictions"] >= 1  # first entry displaced
-    assert orch.report["cache_counters"]["evicted"] >= 1
-
-
-def test_cache_max_bytes_validation(tmp_path):
-    with pytest.raises(ValueError):
-        DiskCache(tmp_path, max_bytes=0)
-    with pytest.raises(ValueError):
-        DiskCache(tmp_path, max_bytes=-5)

@@ -215,92 +215,6 @@ def test_checkpoint_ctl_spec_less_resume_exits_3(tmp_path):
     assert "UNRESUMABLE" in proc.stderr
 
 
-# -- service_ctl.py: submit/status/health against a live service ------------------
-
-
-import pytest
-
-
-@pytest.fixture()
-def service(tmp_path):
-    from repro.harness.service import ServiceConfig, ServiceThread
-
-    svc = ServiceThread(ServiceConfig(
-        workdir=tmp_path / "svc", workers=1, queue_depth=4,
-        journal_fsync=False, default_checkpoint_every=None))
-    svc.start()
-    try:
-        yield f"http://127.0.0.1:{svc.port}"
-    finally:
-        svc.stop()
-
-
-def test_service_ctl_submit_wait_reaches_done(service):
-    proc = run_tool("service_ctl.py", "--url", service, "submit",
-                    "--workload", "spmv", "--technique", "lima",
-                    "--threads", "1", "--wait")
-    assert proc.returncode == 0, proc.stderr
-    payload = json.loads(proc.stdout)
-    assert payload["state"] == "done"
-    assert payload["result"]["cycles"] > 0
-
-    # The same submission again is a cache hit (exit 0, cached marker).
-    again = run_tool("service_ctl.py", "--url", service, "submit",
-                     "--workload", "spmv", "--technique", "lima",
-                     "--threads", "1")
-    assert again.returncode == 0
-    assert json.loads(again.stdout)["cached"] is True
-
-
-def test_service_ctl_status_and_cancel(service):
-    submitted = run_tool("service_ctl.py", "--url", service, "submit",
-                         "--workload", "sdhp", "--technique", "doall",
-                         "--threads", "2")
-    job = json.loads(submitted.stdout)["job"]
-    status = run_tool("service_ctl.py", "--url", service, "status", job)
-    assert status.returncode in (0, 1)  # racing the tiny simulation
-    cancel = run_tool("service_ctl.py", "--url", service, "cancel", job)
-    assert cancel.returncode == 0, cancel.stderr
-
-
-def test_service_ctl_health_reports_ok(service):
-    proc = run_tool("service_ctl.py", "--url", service, "health")
-    assert proc.returncode == 0, proc.stderr
-    health = json.loads(proc.stdout)
-    assert health["status"] == "ok"
-    assert health["breaker"]["state"] == "closed"
-
-
-def test_service_ctl_invalid_spec_exits_2(service):
-    proc = run_tool("service_ctl.py", "--url", service, "submit",
-                    "--workload", "nope", "--technique", "lima")
-    assert proc.returncode == 2, proc.stdout
-
-
-def test_service_ctl_unknown_job_exits_1(service):
-    proc = run_tool("service_ctl.py", "--url", service, "status", "0" * 64)
-    assert proc.returncode == 1
-
-
-def test_service_ctl_unreachable_exits_3():
-    proc = run_tool("service_ctl.py", "--url", "http://127.0.0.1:9",
-                    "health")
-    assert proc.returncode == 3
-    assert "unreachable" in proc.stderr
-
-
-def test_service_ctl_requires_a_url():
-    env_clean = dict(os.environ)
-    env_clean.pop("REPRO_SERVICE_URL", None)
-    env_clean["PYTHONPATH"] = str(REPO / "src")
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "tools" / "service_ctl.py"), "health"],
-        capture_output=True, text=True, env=env_clean, cwd=str(REPO),
-        timeout=60)
-    assert proc.returncode == 2
-    assert "--url" in proc.stderr
-
-
 # -- bench_orchestrator.py: the report survives a missed floor --------------------
 
 
