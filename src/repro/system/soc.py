@@ -152,7 +152,7 @@ class Soc:
         self.driver = MapleDriver(self.os, self.maples, self.mesh)
         #: The active :class:`~repro.sim.faults.FaultInjector`, if any —
         #: set by ``FaultInjector.install`` so post-run tooling (e.g.
-        #: ``tools/fault_replay.py``) can read the fault event log.
+        #: ``tools/replay.py``) can read the fault event log.
         self.fault_injector = None
 
     @staticmethod

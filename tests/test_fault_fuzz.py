@@ -1,6 +1,6 @@
 """Fault-fuzz gate: the SoC survives injected faults, provably.
 
-Three layers ride every case (see ``repro.harness.faultfuzz``):
+Three layers ride every case (see ``repro.harness.campaign``):
 
 1. a random seeded :class:`FaultPlan` perturbs ports, DRAM, the TLBs,
    and the OS (shootdowns, page eviction, preemption);
@@ -22,57 +22,26 @@ import json
 import pytest
 
 from repro.cpu.core import Thread
-from repro.harness.faultfuzz import (
-    FUZZ_MASTER_SEED,
-    FUZZ_WATCHDOG,
-    fuzz_case,
-    fuzz_specs,
-    run_fuzz_case,
-)
+from repro.harness.campaign import CAMPAIGNS, FUZZ_WATCHDOG, fuzz_specs, run_case
 from repro.harness.orchestrator import Orchestrator
 from repro.harness.techniques import run_workload
 from repro.params import SoCConfig
 from repro.sim import FaultPlan, LivenessError, Watchdog
 from repro.system.soc import Soc
 
-N_FUZZ_CASES = 240
-
-
 # -- the sweep ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("case", range(N_FUZZ_CASES))
+@pytest.mark.parametrize("case", range(CAMPAIGNS["fault"].cases))
 def test_faulted_run_is_correct_and_quiescent(case):
     """Random (config, kernel, technique, fault-plan): correct results,
-    invariants hold on drain, watchdog silent.  ``run_fuzz_case`` raises
-    on any violation; the asserts here pin that the layers really ran."""
-    result = run_fuzz_case(case)
+    invariants hold on drain, watchdog silent.  The run raises on any
+    violation; the asserts here pin that the layers really ran."""
+    result = run_case("fault", case)
     assert result.cycles > 0
     ports, queues = result.invariants_checked
     assert ports > 0 and queues > 0
     assert result.fault_plan is not None
-
-
-def test_fuzz_case_generation_is_pure():
-    a, b = fuzz_case(17), fuzz_case(17)
-    assert a.describe() == b.describe()
-    assert a.plan == b.plan and a.config == b.config
-    assert fuzz_case(18).describe() != a.describe()
-
-
-def test_fault_replay_is_deterministic():
-    """Same case number -> bit-identical cycles, fault log, and stats."""
-    first = run_fuzz_case(3)
-    second = run_fuzz_case(3)
-    assert first.cycles == second.cycles
-    assert first.fault_events == second.fault_events
-    assert first.soc.stats_snapshot() == second.soc.stats_snapshot()
-
-
-def test_master_seed_changes_the_sweep():
-    baseline = fuzz_case(0, master_seed=FUZZ_MASTER_SEED)
-    other = fuzz_case(0, master_seed=FUZZ_MASTER_SEED + 1)
-    assert baseline.describe() != other.describe()
 
 
 # -- the observation layer is timing-invisible -----------------------------------

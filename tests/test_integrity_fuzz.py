@@ -26,19 +26,16 @@ import json
 
 import pytest
 
-from repro.harness.integrityfuzz import (
-    INTEGRITY_MASTER_SEED,
-    classify_integrity_case,
-    integrity_case,
+from repro.harness.campaign import (
+    CAMPAIGNS,
     integrity_specs,
+    run_case,
     run_negative_control,
 )
 from repro.harness.orchestrator import Orchestrator
 from repro.harness.techniques import run_workload
 from repro.params import SoCConfig
 from repro.sim import DataIntegrityError, FaultPlan
-
-N_FUZZ_CASES = 200
 
 #: Sweep cases verified to hit unrecoverable scratchpad poison (a
 #: double-bit flip on a filled slot whose producing pointer is gone).
@@ -48,9 +45,9 @@ KNOWN_UNRECOVERABLE = (3, 16, 40)
 # -- the sweep ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("case", range(N_FUZZ_CASES))
+@pytest.mark.parametrize("case", range(CAMPAIGNS["integrity"].cases))
 def test_corrupted_run_passes_oracle_or_fails_typed(case):
-    outcome, payload = classify_integrity_case(case)
+    outcome, payload = run_case("integrity", case)
     if outcome == "completed":
         # check=True already compared against the numpy reference.
         assert payload.cycles > 0
@@ -64,36 +61,13 @@ def test_corrupted_run_passes_oracle_or_fails_typed(case):
         assert payload.diagnosis["integrity"]["error"] == type(payload).__name__
 
 
-def test_case_generation_is_pure():
-    a, b = integrity_case(17), integrity_case(17)
-    assert a.describe() == b.describe()
-    assert a.plan == b.plan and a.config == b.config
-    assert a.config.reliable_ports and a.config.ecc
-    assert integrity_case(18).describe() != a.describe()
-
-
-def test_corrupted_replay_is_deterministic():
-    from repro.harness.integrityfuzz import run_integrity_case
-    first = run_integrity_case(0)
-    second = run_integrity_case(0)
-    assert first.cycles == second.cycles
-    assert first.fault_events == second.fault_events
-    assert first.soc.stats_snapshot() == second.soc.stats_snapshot()
-
-
-def test_master_seed_changes_the_sweep():
-    baseline = integrity_case(0, master_seed=INTEGRITY_MASTER_SEED)
-    other = integrity_case(0, master_seed=INTEGRITY_MASTER_SEED + 1)
-    assert baseline.describe() != other.describe()
-
-
 # -- unrecoverable corruption: typed error + structured dump ----------------------
 
 
 def test_unrecoverable_corruption_writes_structured_dump(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_WATCHDOG_DUMP_DIR", str(tmp_path))
     case = KNOWN_UNRECOVERABLE[0]
-    outcome, err = classify_integrity_case(case)
+    outcome, err = run_case("integrity", case)
     assert outcome == "integrity-error"
     assert err.kind == "scratchpad_poison"
     assert err.dump_path is not None
@@ -107,7 +81,7 @@ def test_unrecoverable_corruption_writes_structured_dump(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("case", KNOWN_UNRECOVERABLE)
 def test_known_unrecoverable_cases_stay_unrecoverable(case):
-    outcome, err = classify_integrity_case(case)
+    outcome, err = run_case("integrity", case)
     assert outcome == "integrity-error"
     assert isinstance(err, DataIntegrityError)
     assert err.component is not None and err.kind is not None

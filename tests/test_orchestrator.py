@@ -318,7 +318,7 @@ def test_failed_cell_retries_with_exponential_backoff(monkeypatch):
 
 
 def test_job_error_records_fault_seed():
-    from repro.harness.faultfuzz import fuzz_specs
+    from repro.harness.campaign import fuzz_specs
     from repro.harness.orchestrator import OrchestratorError
 
     spec = fuzz_specs(1)[0]
