@@ -4,10 +4,11 @@ Every benchmark runs its experiment exactly once (``pedantic`` with one
 round): the simulations are deterministic, so repetition only measures
 host noise, and some figures take minutes of simulated work.
 
-Sweep-shaped figures (fig13 scaling, fig15 latency, queue-sweep) accept
-an orchestrator: set ``HARNESS_JOBS=N`` to shard their cells across N
-worker processes.  Results are byte-identical at any job count, so the
-assertions don't care.
+Every simulated figure (fig8, figs. 9-11, fig12, fig13, fig15,
+queue-sweep) runs as ``figures.run(plan, orch=harness_orchestrator())``:
+set ``HARNESS_JOBS=N`` to shard its cells across N worker processes.
+Results are byte-identical at any job count, so the assertions don't
+care.
 """
 
 import os

@@ -8,11 +8,11 @@ asserts those shape claims.
 
 from conftest import harness_orchestrator, run_once
 
-from repro.harness.figures import fig8
+from repro.harness.figures import fig8, run
 
 
 def test_bench_fig08_decoupling(benchmark):
-    result = run_once(benchmark, fig8, orch=harness_orchestrator())
+    [result] = run_once(benchmark, run, fig8(), orch=harness_orchestrator())
     print("\n" + result.render())
 
     maple = result.series_by_label("maple-decoupling")

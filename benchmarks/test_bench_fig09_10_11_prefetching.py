@@ -14,13 +14,13 @@ latencies):
 
 from conftest import harness_orchestrator, run_once
 
-from repro.harness.figures import prefetch_study
+from repro.harness.figures import prefetch_study, run
 from repro.sim.stats import geomean
 
 
 def test_bench_fig09_10_11_prefetching(benchmark):
-    fig9, fig10, fig11 = run_once(benchmark, prefetch_study,
-                                     orch=harness_orchestrator())
+    [(fig9, fig10, fig11)] = run_once(benchmark, run, prefetch_study(),
+                                      orch=harness_orchestrator())
     print("\n" + fig9.render())
     print("\n" + fig10.render())
     print("\n" + fig11.render())

@@ -9,11 +9,11 @@ prefetches still leave the core paying the L1-miss path per element.
 
 from conftest import harness_orchestrator, run_once
 
-from repro.harness.figures import fig12
+from repro.harness.figures import fig12, run
 
 
 def test_bench_fig12_prior_work(benchmark):
-    result = run_once(benchmark, fig12, orch=harness_orchestrator())
+    [result] = run_once(benchmark, run, fig12(), orch=harness_orchestrator())
     print("\n" + result.render())
 
     maple = result.series_by_label("maple")

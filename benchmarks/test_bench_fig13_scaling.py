@@ -7,11 +7,11 @@ queues and pipelines have the headroom to supply multiple pairs.
 
 from conftest import harness_orchestrator, run_once
 
-from repro.harness.figures import fig13
+from repro.harness.figures import fig13, run
 
 
 def test_bench_fig13_scaling(benchmark):
-    result = run_once(benchmark, fig13, orch=harness_orchestrator())
+    [result] = run_once(benchmark, run, fig13(), orch=harness_orchestrator())
     print("\n" + result.render())
 
     geomeans = {s.label: s.geomean() for s in result.series}

@@ -7,11 +7,11 @@ operation pays it.
 
 from conftest import harness_orchestrator, run_once
 
-from repro.harness.figures import fig15
+from repro.harness.figures import fig15, run
 
 
 def test_bench_fig15_latency_sweep(benchmark):
-    result = run_once(benchmark, fig15, orch=harness_orchestrator())
+    [result] = run_once(benchmark, run, fig15(), orch=harness_orchestrator())
     print("\n" + result.render())
 
     geomeans = [s.geomean() for s in result.series]  # ordered by latency

@@ -7,11 +7,12 @@ sufficient, and smaller queues start costing runahead.
 
 from conftest import harness_orchestrator, run_once
 
-from repro.harness.figures import queue_sweep
+from repro.harness.figures import queue_sweep, run
 
 
 def test_bench_queue_size(benchmark):
-    result = run_once(benchmark, queue_sweep, orch=harness_orchestrator())
+    [result] = run_once(benchmark, run, queue_sweep(),
+                        orch=harness_orchestrator())
     print("\n" + result.render())
 
     by_entries = {s.label: s.geomean() for s in result.series}

@@ -6,7 +6,8 @@ baseline, executing, and validating results against the reference.
 :mod:`repro.harness.orchestrator` shards independent cells across worker
 processes with an on-disk result cache (every cell is deterministic, so
 job count never changes a number).  :mod:`repro.harness.figures`
-composes cells into every figure of the paper's evaluation;
+plans every figure of the paper's evaluation as cells plus a reduction,
+and its ``run`` executes any set of plans as one orchestrator batch;
 :mod:`repro.harness.tables` renders the three tables.
 """
 

@@ -8,67 +8,66 @@ Usage::
     python -m repro.harness all --jobs 4   # shard cells across 4 workers
     python -m repro.harness all --no-cache # force re-simulation
 
-Every figure decomposes into independent, deterministic simulation
-cells, so ``--jobs N`` executes them on a worker pool without changing a
-single rendered byte (see ``repro/harness/orchestrator.py``).  Results
-are cached on disk under ``~/.cache/repro-harness`` (override with
-``--cache-dir`` or ``$REPRO_CACHE_DIR``) keyed by the full SoC
-configuration, so re-renders after unrelated edits are instant;
-``--no-cache`` disables both read and write.
+Each target names a plan (see :mod:`repro.harness.figures`): the
+simulation cells it needs plus a pure reduction to its rendered text.
+The requested targets' cells go to the orchestrator as one batch, so a
+cell shared between targets (Figs. 9-11 share all of theirs) simulates
+once, and every deterministic cell renders byte-identically at any
+``--jobs N`` (see ``repro/harness/orchestrator.py``).  Results are cached
+on disk under ``~/.cache/repro-harness`` (override with ``--cache-dir``
+or ``$REPRO_CACHE_DIR``) keyed by the full SoC configuration, so
+re-renders after unrelated edits are instant; ``--no-cache`` disables
+both read and write.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 from repro.harness import figures, tables
-from repro.harness.orchestrator import Orchestrator, make_orchestrator
-
-_TARGETS = ("fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
-            "fig15", "queue-sweep", "mesh-speedup", "mesh-noc",
-            "mesh-coherence", "area", "table1", "table2", "table3")
+from repro.harness.orchestrator import make_orchestrator
 
 
-def _render(target: str, scale: int,
-             orch: Orchestrator | None = None) -> str:
-    if target == "fig8":
-        return figures.fig8(scale=scale, orch=orch).render()
-    if target in ("fig9", "fig10", "fig11"):
-        trio = figures.prefetch_study(scale=scale, orch=orch)
-        index = {"fig9": 0, "fig10": 1, "fig11": 2}[target]
-        return trio[index].render()
-    if target == "fig12":
-        return figures.fig12(scale=scale, orch=orch).render()
-    if target == "fig13":
-        return figures.fig13(scale=scale, orch=orch).render()
-    if target == "fig14":
-        return figures.fig14().render()
-    if target == "fig15":
-        return figures.fig15(scale=scale, orch=orch).render()
-    if target == "queue-sweep":
-        return figures.queue_sweep(scale=scale, orch=orch).render()
-    if target in ("mesh-speedup", "mesh-noc"):
-        pair = figures.mesh_scaling_study(scale=scale, orch=orch)
-        return pair[0 if target == "mesh-speedup" else 1].render()
-    if target == "mesh-coherence":
-        return figures.mesh_coherence_study(scale=scale, orch=orch).render()
-    if target == "area":
-        report = figures.area_analysis()
-        lines = ["area analysis (12 nm model, §5.4)"]
-        lines += [f"  {name:35s} {mm2:8.4f} mm^2" for name, mm2 in report.rows()]
-        lines.append(f"  overhead vs served cores: "
-                     f"{report.overhead_fraction * 100:.2f}%")
-        return "\n".join(lines)
-    if target == "table1":
-        return tables.table1()
-    if target == "table2":
-        return tables.table2()
-    if target == "table3":
-        return tables.table3()
-    raise ValueError(f"unknown target {target!r}")
+def _figure(study, index=None):
+    """Target rendering ``study``'s figure (``index`` picks one figure of
+    a study that yields several)."""
+    def plan(scale):
+        inner = study(scale=scale)
+
+        def render(results):
+            figs = inner.reduce(results)
+            return (figs if index is None else figs[index]).render()
+        return figures.Plan(inner.specs, render)
+    return plan
+
+
+def _static(text):
+    """Target with no simulation cells: ``text()`` is the whole render."""
+    return lambda scale: figures.Plan((), lambda results: text())
+
+
+#: Target name -> plan factory taking the dataset scale; every plan
+#: reduces to the target's rendered text.
+TARGETS = {
+    "fig8": _figure(figures.fig8),
+    "fig9": _figure(figures.prefetch_study, 0),
+    "fig10": _figure(figures.prefetch_study, 1),
+    "fig11": _figure(figures.prefetch_study, 2),
+    "fig12": _figure(figures.fig12),
+    "fig13": _figure(figures.fig13),
+    "fig14": _static(lambda: figures.fig14().render()),
+    "fig15": _figure(figures.fig15),
+    "queue-sweep": _figure(figures.queue_sweep),
+    "mesh-speedup": _figure(figures.mesh_scaling_study, 0),
+    "mesh-noc": _figure(figures.mesh_scaling_study, 1),
+    "mesh-coherence": _figure(figures.mesh_coherence_study),
+    "area": _static(figures.area_text),
+    "table1": _static(tables.table1),
+    "table2": _static(tables.table2),
+    "table3": _static(tables.table3),
+}
 
 
 def _progress_printer(event: dict) -> None:
@@ -97,7 +96,7 @@ def main(argv=None) -> int:
         prog="python -m repro.harness",
         description="Regenerate tables/figures of the MAPLE evaluation.")
     parser.add_argument("targets", nargs="+",
-                        help=f"one of {', '.join(_TARGETS)}, or 'all'")
+                        help=f"one of {', '.join(TARGETS)}, or 'all'")
     parser.add_argument("--scale", type=int, default=1,
                         help="dataset scale factor (default 1)")
     parser.add_argument("--jobs", type=int, default=1,
@@ -117,8 +116,8 @@ def main(argv=None) -> int:
 
     targets = list(args.targets)
     if targets == ["all"]:
-        targets = list(_TARGETS)
-    unknown = [t for t in targets if t not in _TARGETS]
+        targets = list(TARGETS)
+    unknown = [t for t in targets if t not in TARGETS]
     if unknown:
         parser.error(f"unknown target(s): {', '.join(unknown)}")
     if args.jobs < 1:
@@ -129,13 +128,10 @@ def main(argv=None) -> int:
         cache_dir=args.cache_dir, timeout=args.timeout,
         progress=None if args.quiet else _progress_printer)
 
-    for target in targets:
-        start = time.time()
-        print(_render(target, args.scale, orch))
+    plans = [TARGETS[target](args.scale) for target in targets]
+    for text in figures.run(*plans, orch=orch):
+        print(text)
         print()
-        # Timing goes to stderr so stdout stays byte-identical across
-        # serial/sharded/cached runs.
-        print(f"[{target}: {time.time() - start:.1f}s]", file=sys.stderr)
     return 0
 
 

@@ -1,14 +1,16 @@
 """Regenerate every figure of the paper's evaluation (§5).
 
-Each ``figN`` function decomposes its figure into independent
-:class:`~repro.harness.orchestrator.RunSpec` cells, executes them through
-an :class:`~repro.harness.orchestrator.Orchestrator` (serial by default;
-pass ``orch=`` or use ``--jobs N`` on the CLI to shard across worker
-processes), and assembles a :class:`FigureResult` with the same series
-the paper reports (per-app bars plus geomeans).  Because every cell is
-deterministic, the rendered figure is byte-identical at any job count.
-Absolute cycle counts come from this repository's simulator, so the
-*shapes* — who wins, by roughly what factor — are the reproduction
+Each figure function returns a :class:`Plan`: the independent
+:class:`~repro.harness.orchestrator.RunSpec` cells the figure needs plus
+a pure ``reduce`` that turns their results into a :class:`FigureResult`
+with the series the paper reports (per-app bars plus geomeans).  Nothing
+simulates until :func:`run`, the one place figures reach the
+:class:`~repro.harness.orchestrator.Orchestrator`: it submits the union
+of any number of plans as a single batch, so cells shared between
+figures (Figs. 9-11 share all of theirs) simulate once.  Because every
+cell is deterministic, the rendered figure is byte-identical at any job
+count.  Absolute cycle counts come from this repository's simulator, so
+the *shapes* — who wins, by roughly what factor — are the reproduction
 target, not the paper's absolute numbers (see EXPERIMENTS.md for the
 side-by-side).
 """
@@ -16,7 +18,7 @@ side-by-side).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.area import estimate_area
 from repro.harness.orchestrator import (
@@ -24,6 +26,7 @@ from repro.harness.orchestrator import (
     RunResult,
     RunSpec,
     freeze_dataset_kwargs,
+    spec_key,
 )
 from repro.params import FPGA_CONFIG, MOSAIC_CONFIG, SoCConfig
 from repro.sim.stats import geomean
@@ -71,40 +74,88 @@ class FigureResult:
         return "\n".join(lines)
 
 
-def _gather(specs: Sequence[RunSpec],
-            orch: Optional[Orchestrator]) -> List[RunResult]:
-    """Execute a figure's cells (serial in-process unless ``orch`` shards).
+@dataclass(frozen=True)
+class Plan:
+    """A figure as data: its cells plus ``reduce``, which turns their
+    results (in ``specs`` order) into the figure without simulating."""
 
-    Within one batch the orchestrator dedupes identical specs, so figure
-    code may list the same doall baseline against several techniques and
-    still simulate it once.
+    specs: Tuple[RunSpec, ...]
+    reduce: Callable[[List[RunResult]], Any]
+
+
+def run(*plans: Plan, orch: Optional[Orchestrator] = None) -> List[Any]:
+    """Simulate the union of the plans' cells in one orchestrator batch
+    (serial in-process unless ``orch`` shards) and return each plan's
+    reduction, in the order given.
+
+    The orchestrator dedupes identical specs within a batch, so plans may
+    list shared cells — a doall baseline, a whole study — and still
+    simulate each once.
     """
-    return (orch or Orchestrator()).run(specs)
+    union = [spec for plan in plans for spec in plan.specs]
+    results = (orch or Orchestrator()).run(union) if union else []
+    by_key = {result.key: result for result in results}
+    return [plan.reduce([by_key[spec_key(spec)] for spec in plan.specs])
+            for plan in plans]
 
 
-def _speedup_specs(app: str, technique: str, threads: int, config: SoCConfig,
-                   scale: int,
-                   variants: Optional[Sequence[dict]]) -> List[RunSpec]:
-    """(doall, technique) spec pairs, one pair per dataset variant.
-
-    The paper computes each application's bar as the geomean across its
-    datasets (§5.2); ``variants`` is a list of ``dataset_kwargs`` dicts
-    (None = the app's single default dataset).
+def _speedup_plan(figure_id: str, title: str, apps: Sequence[str],
+                  bars: Sequence[Tuple[str, str]], config: SoCConfig,
+                  scale: int, datasets: Optional[dict],
+                  notes: str = "") -> Plan:
+    """2-thread speedup over doall, one series per ``(label, technique)``
+    bar.  The paper computes each application's bar as the geomean
+    across its datasets (§5.2): ``datasets`` maps app -> list of
+    ``dataset_kwargs`` dicts (absent = the app's single default dataset).
     """
-    specs = []
-    for kwargs in (variants or [None]):
-        frozen = freeze_dataset_kwargs(kwargs)
-        specs.append(RunSpec(app, "doall", threads=threads, scale=scale,
-                             config=config, dataset_kwargs=frozen))
-        specs.append(RunSpec(app, technique, threads=threads, scale=scale,
-                             config=config, dataset_kwargs=frozen))
-    return specs
+    datasets = datasets or {}
+    cells: Dict[Tuple[str, str], List[RunSpec]] = {}
+    for app in apps:
+        variants = [freeze_dataset_kwargs(kwargs)
+                    for kwargs in datasets.get(app) or [None]]
+        for label, technique in bars:
+            cells[app, label] = [
+                RunSpec(app, run_as, threads=2, scale=scale, config=config,
+                        dataset_kwargs=frozen)
+                for frozen in variants for run_as in ("doall", technique)]
+
+    def reduce(results: List[RunResult]) -> FigureResult:
+        results = iter(results)
+        series = {label: Series(label) for label, _technique in bars}
+        for (app, label), chunk in cells.items():
+            pairs = [(next(results), next(results)) for _ in chunk[::2]]
+            series[label].values[app] = geomean(
+                [base.cycles / other.cycles for base, other in pairs])
+        return FigureResult(figure_id, title, apps, list(series.values()),
+                            notes=notes)
+
+    return Plan(tuple(spec for chunk in cells.values() for spec in chunk),
+                reduce)
 
 
-def _speedup_from(results: List[RunResult]) -> float:
-    """Geomean speedup over paired (doall, technique) results."""
-    return geomean([base.cycles / other.cycles
-                    for base, other in zip(results[::2], results[1::2])])
+def _decouple_sweep(figure_id: str, title: str, apps: Sequence[str],
+                    points: Sequence[Tuple[str, int, SoCConfig]], scale: int,
+                    notes: str = "") -> Plan:
+    """Decoupling speedup over doall per app, one series per sweep point
+    ``(label, threads, config)``."""
+    specs = tuple(RunSpec(app, technique, threads=threads, scale=scale,
+                          config=cfg)
+                  for _label, threads, cfg in points
+                  for app in apps
+                  for technique in ("doall", "maple-decouple"))
+
+    def reduce(results: List[RunResult]) -> FigureResult:
+        results = iter(results)
+        series = []
+        for label, _threads, _cfg in points:
+            s = Series(label)
+            for app in apps:
+                doall, dec = next(results), next(results)
+                s.values[app] = doall.cycles / dec.cycles
+            series.append(s)
+        return FigureResult(figure_id, title, apps, series, notes=notes)
+
+    return Plan(specs, reduce)
 
 
 # -- Fig. 8: decoupling on the FPGA config -------------------------------------
@@ -125,8 +176,7 @@ PAPER_DATASETS = {
 
 def fig8(scale: int = 1, apps: Sequence[str] = DEFAULT_APPS,
          config: Optional[SoCConfig] = None,
-         datasets: Optional[dict] = None,
-         orch: Optional[Orchestrator] = None) -> FigureResult:
+         datasets: Optional[dict] = None) -> Plan:
     """Decoupling (1 Access + 1 Execute) vs 2-thread doall, plus the
     shared-memory software-decoupling baseline.
 
@@ -134,26 +184,11 @@ def fig8(scale: int = 1, apps: Sequence[str] = DEFAULT_APPS,
     ``datasets`` maps app -> list of dataset_kwargs to geomean across
     (e.g. :data:`PAPER_DATASETS`).
     """
-    cfg = config or FPGA_CONFIG
-    datasets = datasets or {}
-    cells = {}
-    specs: List[RunSpec] = []
-    for app in apps:
-        variants = datasets.get(app)
-        for technique in ("maple-decouple", "sw-decouple"):
-            cells[app, technique] = _speedup_specs(
-                app, technique, 2, cfg, scale, variants)
-            specs += cells[app, technique]
-    results = iter(_gather(specs, orch))
-    maple = Series("maple-decoupling")
-    sw = Series("sw-decoupling")
-    for (app, technique), chunk in cells.items():
-        series = maple if technique == "maple-decouple" else sw
-        series.values[app] = _speedup_from([next(results)
-                                            for _ in chunk])
-    return FigureResult(
-        "fig8", "Decoupling speedup over 2-thread doall (FPGA config)",
-        apps, [maple, sw],
+    return _speedup_plan(
+        "fig8", "Decoupling speedup over 2-thread doall (FPGA config)", apps,
+        (("maple-decoupling", "maple-decouple"),
+         ("sw-decoupling", "sw-decouple")),
+        config or FPGA_CONFIG, scale, datasets,
         notes="SPMM cannot be decoupled (RMW IMAs) and falls back to doall.")
 
 
@@ -161,68 +196,59 @@ def fig8(scale: int = 1, apps: Sequence[str] = DEFAULT_APPS,
 
 
 def prefetch_study(scale: int = 1, apps: Sequence[str] = DEFAULT_APPS,
-                   config: Optional[SoCConfig] = None,
-                   orch: Optional[Orchestrator] = None
-                   ) -> Tuple[FigureResult, FigureResult, FigureResult]:
+                   config: Optional[SoCConfig] = None) -> Plan:
     """One pass producing Figs. 9 (speedup), 10 (load-instruction overhead)
     and 11 (average load latency), all single-thread, normalized to the
-    no-prefetching baseline.
+    no-prefetching baseline; the plan reduces to the three figures.
 
     Paper: LIMA 1.73x geomean speedup (2.35x over SW prefetching); SW
     prefetching ~2x the loads while MAPLE slightly reduces them; LIMA
     cuts average load latency ~1.85x.
     """
     cfg = config or FPGA_CONFIG
-    speedup = {"maple-lima": Series("maple-lima"),
-               "sw-prefetch": Series("sw-prefetch")}
-    loads = {"maple-lima": Series("maple-lima"),
-             "sw-prefetch": Series("sw-prefetch"),
-             "no-prefetch": Series("no-prefetch")}
-    latency = {"maple-lima": Series("maple-lima"),
-               "sw-prefetch": Series("sw-prefetch"),
-               "no-prefetch": Series("no-prefetch")}
-    specs = [RunSpec(app, technique, threads=1, scale=scale, config=cfg)
-             for app in apps
-             for technique in ("doall", "lima", "sw-prefetch")]
-    results = iter(_gather(specs, orch))
-    for app in apps:
-        base, lima, swpf = next(results), next(results), next(results)
-        speedup["maple-lima"].values[app] = base.cycles / lima.cycles
-        speedup["sw-prefetch"].values[app] = base.cycles / swpf.cycles
-        loads["no-prefetch"].values[app] = 1.0
-        loads["maple-lima"].values[app] = lima.total_loads / base.total_loads
-        loads["sw-prefetch"].values[app] = swpf.total_loads / base.total_loads
-        latency["no-prefetch"].values[app] = base.avg_load_latency
-        latency["maple-lima"].values[app] = lima.avg_load_latency
-        latency["sw-prefetch"].values[app] = swpf.avg_load_latency
-    fig9 = FigureResult(
-        "fig9", "Prefetching speedup over no prefetching (1 thread)",
-        apps, [speedup["maple-lima"], speedup["sw-prefetch"]],
-        notes="SPMM uses LIMA's speculative LLC mode (RMW-safe).")
-    fig10 = FigureResult(
-        "fig10", "Load-class instructions, normalized to no prefetching",
-        apps, [loads["no-prefetch"], loads["sw-prefetch"], loads["maple-lima"]],
-        notes="Packed 4-byte consumes are why MAPLE reduces load counts.")
-    fig11 = FigureResult(
-        "fig11", "Average load latency (cycles)",
-        apps, [latency["no-prefetch"], latency["sw-prefetch"],
-               latency["maple-lima"]])
-    return fig9, fig10, fig11
+    specs = tuple(RunSpec(app, technique, threads=1, scale=scale, config=cfg)
+                  for app in apps
+                  for technique in ("doall", "lima", "sw-prefetch"))
 
+    def reduce(results: List[RunResult]
+               ) -> Tuple[FigureResult, FigureResult, FigureResult]:
+        speedup = {"maple-lima": Series("maple-lima"),
+                   "sw-prefetch": Series("sw-prefetch")}
+        loads = {"maple-lima": Series("maple-lima"),
+                 "sw-prefetch": Series("sw-prefetch"),
+                 "no-prefetch": Series("no-prefetch")}
+        latency = {"maple-lima": Series("maple-lima"),
+                   "sw-prefetch": Series("sw-prefetch"),
+                   "no-prefetch": Series("no-prefetch")}
+        results = iter(results)
+        for app in apps:
+            base, lima, swpf = next(results), next(results), next(results)
+            speedup["maple-lima"].values[app] = base.cycles / lima.cycles
+            speedup["sw-prefetch"].values[app] = base.cycles / swpf.cycles
+            loads["no-prefetch"].values[app] = 1.0
+            loads["maple-lima"].values[app] = (lima.total_loads
+                                               / base.total_loads)
+            loads["sw-prefetch"].values[app] = (swpf.total_loads
+                                                / base.total_loads)
+            latency["no-prefetch"].values[app] = base.avg_load_latency
+            latency["maple-lima"].values[app] = lima.avg_load_latency
+            latency["sw-prefetch"].values[app] = swpf.avg_load_latency
+        fig9 = FigureResult(
+            "fig9", "Prefetching speedup over no prefetching (1 thread)",
+            apps, [speedup["maple-lima"], speedup["sw-prefetch"]],
+            notes="SPMM uses LIMA's speculative LLC mode (RMW-safe).")
+        fig10 = FigureResult(
+            "fig10", "Load-class instructions, normalized to no prefetching",
+            apps, [loads["no-prefetch"], loads["sw-prefetch"],
+                   loads["maple-lima"]],
+            notes="Packed 4-byte consumes are why MAPLE reduces load counts.")
+        fig11 = FigureResult(
+            "fig11", "Average load latency (cycles)",
+            apps, [latency["no-prefetch"], latency["sw-prefetch"],
+                   latency["maple-lima"]])
+        return fig9, fig10, fig11
 
-def fig9(scale: int = 1, apps: Sequence[str] = DEFAULT_APPS,
-         orch: Optional[Orchestrator] = None) -> FigureResult:
-    return prefetch_study(scale, apps, orch=orch)[0]
-
-
-def fig10(scale: int = 1, apps: Sequence[str] = DEFAULT_APPS,
-          orch: Optional[Orchestrator] = None) -> FigureResult:
-    return prefetch_study(scale, apps, orch=orch)[1]
-
-
-def fig11(scale: int = 1, apps: Sequence[str] = DEFAULT_APPS,
-          orch: Optional[Orchestrator] = None) -> FigureResult:
-    return prefetch_study(scale, apps, orch=orch)[2]
+    return Plan(specs, reduce)
 
 
 # -- Fig. 12: prior hardware techniques (MosaicSim config) --------------------------
@@ -230,8 +256,7 @@ def fig11(scale: int = 1, apps: Sequence[str] = DEFAULT_APPS,
 
 def fig12(scale: int = 1, apps: Sequence[str] = DEFAULT_APPS,
           config: Optional[SoCConfig] = None,
-          datasets: Optional[dict] = None,
-          orch: Optional[Orchestrator] = None) -> FigureResult:
+          datasets: Optional[dict] = None) -> Plan:
     """MAPLE vs DeSC decoupling vs DROPLET prefetching, 2 threads.
 
     Paper: MAPLE 1.96x geomean over doall (up to 3x on BFS), 1.72x over
@@ -240,26 +265,11 @@ def fig12(scale: int = 1, apps: Sequence[str] = DEFAULT_APPS,
     Each app's bar is the geomean across its ``datasets`` variants, as in
     the paper (§5.2).
     """
-    cfg = config or MOSAIC_CONFIG
-    datasets = datasets or {}
-    pairs = (("maple", "maple-decouple"), ("desc", "desc"),
-             ("droplet", "droplet"))
-    cells = {}
-    specs: List[RunSpec] = []
-    for app in apps:
-        variants = datasets.get(app)
-        for label, technique in pairs:
-            cells[app, label] = _speedup_specs(
-                app, technique, 2, cfg, scale, variants)
-            specs += cells[app, label]
-    results = iter(_gather(specs, orch))
-    series = {name: Series(name) for name in ("maple", "desc", "droplet")}
-    for (app, label), chunk in cells.items():
-        series[label].values[app] = _speedup_from([next(results)
-                                                   for _ in chunk])
-    return FigureResult(
-        "fig12", "Speedup over 2-thread doall (simulator config)",
-        apps, list(series.values()))
+    return _speedup_plan(
+        "fig12", "Speedup over 2-thread doall (simulator config)", apps,
+        (("maple", "maple-decouple"), ("desc", "desc"),
+         ("droplet", "droplet")),
+        config or MOSAIC_CONFIG, scale, datasets)
 
 
 # -- Fig. 13: thread scaling sharing one MAPLE ----------------------------------------
@@ -267,29 +277,18 @@ def fig12(scale: int = 1, apps: Sequence[str] = DEFAULT_APPS,
 
 def fig13(scale: int = 1, apps: Sequence[str] = SCALING_APPS,
           thread_counts: Sequence[int] = (2, 4, 8),
-          config: Optional[SoCConfig] = None,
-          orch: Optional[Orchestrator] = None) -> FigureResult:
+          config: Optional[SoCConfig] = None) -> Plan:
     """Decoupling speedup over doall at matched thread counts, with every
     Access/Execute pair sharing a single MAPLE instance.
 
     Paper: the speedup is maintained from 2 to 8 threads.
     """
     cfg = (config or FPGA_CONFIG).with_overrides(maple_instances=1)
-    specs = [RunSpec(app, technique, threads=threads, scale=scale, config=cfg)
-             for threads in thread_counts
-             for app in apps
-             for technique in ("doall", "maple-decouple")]
-    results = iter(_gather(specs, orch))
-    series = []
-    for threads in thread_counts:
-        s = Series(f"{threads}-threads")
-        for app in apps:
-            base, dec = next(results), next(results)
-            s.values[app] = base.cycles / dec.cycles
-        series.append(s)
-    return FigureResult(
+    return _decouple_sweep(
         "fig13", "Decoupling speedup over doall vs thread count "
-        "(one shared MAPLE)", apps, series)
+        "(one shared MAPLE)", apps,
+        [(f"{threads}-threads", threads, cfg) for threads in thread_counts],
+        scale)
 
 
 # -- Fig. 14: round-trip latency breakdown ----------------------------------------------
@@ -375,29 +374,17 @@ def roundtrip_config(base: SoCConfig, target: int) -> SoCConfig:
 
 def fig15(scale: int = 1, apps: Sequence[str] = SCALING_APPS,
           targets: Sequence[int] = (11, 25, 51, 101),
-          config: Optional[SoCConfig] = None,
-          orch: Optional[Orchestrator] = None) -> FigureResult:
+          config: Optional[SoCConfig] = None) -> Plan:
     """Decoupling speedup as the core<->MAPLE round trip grows.
 
     Paper: speedups are greater with a lower NoC delay.
     """
     base = config or FPGA_CONFIG
-    specs = [RunSpec(app, technique, threads=2, scale=scale,
-                     config=roundtrip_config(base, target))
-             for target in targets
-             for app in apps
-             for technique in ("doall", "maple-decouple")]
-    results = iter(_gather(specs, orch))
-    series = []
-    for target in targets:
-        s = Series(f"maple-{target}cy")
-        for app in apps:
-            doall, dec = next(results), next(results)
-            s.values[app] = doall.cycles / dec.cycles
-        series.append(s)
-    return FigureResult(
+    return _decouple_sweep(
         "fig15", "Decoupling speedup vs core<->MAPLE round-trip latency",
-        apps, series)
+        apps, [(f"maple-{target}cy", 2, roundtrip_config(base, target))
+               for target in targets],
+        scale)
 
 
 # -- §5.3: queue-size sensitivity -------------------------------------------------------------
@@ -405,32 +392,18 @@ def fig15(scale: int = 1, apps: Sequence[str] = SCALING_APPS,
 
 def queue_sweep(scale: int = 1, apps: Sequence[str] = SCALING_APPS,
                 entries: Sequence[int] = (8, 16, 32, 64),
-                config: Optional[SoCConfig] = None,
-                orch: Optional[Orchestrator] = None) -> FigureResult:
+                config: Optional[SoCConfig] = None) -> Plan:
     """Decoupling speedup vs per-queue entry count.
 
     Paper: 32 entries suffice; 16 cost 5-10%; performance is stable once
     the queue covers the latency."""
     base = config or FPGA_CONFIG
-    configs = {count: base.with_overrides(
-        scratchpad_bytes=count * base.maple_num_queues
-        * base.queue_entry_bytes) for count in entries}
-    specs = [RunSpec(app, technique, threads=2, scale=scale,
-                     config=configs[count])
-             for count in entries
-             for app in apps
-             for technique in ("doall", "maple-decouple")]
-    results = iter(_gather(specs, orch))
-    series = []
-    for count in entries:
-        s = Series(f"{count}-entries")
-        for app in apps:
-            doall, dec = next(results), next(results)
-            s.values[app] = doall.cycles / dec.cycles
-        series.append(s)
-    return FigureResult(
-        "queue-sweep", "Decoupling speedup vs queue entries (§5.3)",
-        apps, series,
+    return _decouple_sweep(
+        "queue-sweep", "Decoupling speedup vs queue entries (§5.3)", apps,
+        [(f"{count}-entries", 2, base.with_overrides(
+            scratchpad_bytes=count * base.maple_num_queues
+            * base.queue_entry_bytes)) for count in entries],
+        scale,
         notes=f"{base.queue_entry_bytes}B entries; scratchpad scales with "
               "the queue size.")
 
@@ -451,9 +424,7 @@ def mesh_scaling_study(scale: int = 1, app: str = "spmv", threads: int = 4,
                        placements: Sequence[str] = MESH_PLACEMENTS,
                        maple_instances: int = 4,
                        directory: bool = False,
-                       config: Optional[SoCConfig] = None,
-                       orch: Optional[Orchestrator] = None
-                       ) -> Tuple[FigureResult, FigureResult]:
+                       config: Optional[SoCConfig] = None) -> Plan:
     """Speedup and per-plane NoC utilization vs tile count, with MAPLE
     placement as the sweep axis (ROADMAP item 1: does latency tolerance
     survive MemPool-class meshes?).
@@ -464,7 +435,8 @@ def mesh_scaling_study(scale: int = 1, app: str = "spmv", threads: int = 4,
     instance nearest its access core via the driver's assignment map.
     The columns are mesh sides, not applications: ``"8x8"`` is a 64-tile
     mesh.  Utilization is NoC hops per elapsed cycle on each of the three
-    planes, from the ``maple-decouple`` cell of each configuration.
+    planes, from the ``maple-decouple`` cell of each configuration.  The
+    plan reduces to the two figures, speedup then utilization.
 
     Pass ``directory=True`` to route coherence upgrades/transfers over
     the NoC as real messages (adds directory traffic to the utilization
@@ -484,54 +456,49 @@ def mesh_scaling_study(scale: int = 1, app: str = "spmv", threads: int = 4,
                                  config=cfg))
             specs.append(RunSpec(app, "maple-decouple", threads=threads,
                                  scale=scale, config=cfg))
-    results = iter(_gather(specs, orch))
-    labels = [f"{side}x{side}" for side in sides]
-    speedup = {p: Series(p) for p in placements}
-    util: Dict[str, Series] = {}
-    for side in sides:
-        col = f"{side}x{side}"
-        for placement in placements:
-            doall, dec = next(results), next(results)
-            speedup[placement].values[col] = doall.cycles / dec.cycles
-            for plane in NOC_PLANES:
-                key = f"{placement}/{plane}"
-                series = util.setdefault(key, Series(key))
-                series.values[col] = (dec.stats.get(f"noc.{plane}.hops", 0.0)
-                                      / dec.cycles)
-    fig_speedup = FigureResult(
-        "mesh-speedup",
-        f"Decoupling speedup vs mesh size ({app}, {threads} threads, "
-        f"{maple_instances} MAPLEs)",
-        labels, [speedup[p] for p in placements],
-        notes="threads sit in the top-left tile region, so placements "
-              "far from it pay the full core<->MAPLE distance")
-    # A plane with zero traffic everywhere (e.g. the memory plane when
-    # the workload's fetches never ride a MEMORY-plane link) cannot be
-    # plotted on a geomean scale — drop it and say so.
-    active = [s for s in (util[f"{p}/{plane}"] for p in placements
-                          for plane in NOC_PLANES)
-              if any(s.values.values())]
-    idle_planes = sorted({s.label.split("/", 1)[1]
-                          for key, s in util.items() if s not in active})
-    fig_util = FigureResult(
-        "mesh-noc",
-        f"NoC utilization (hops/cycle) vs mesh size ({app}, "
-        f"maple-decouple)",
-        labels, active,
-        notes="per-plane hop counters over elapsed cycles"
-              + (f"; idle plane(s) omitted: {', '.join(idle_planes)}"
-                 if idle_planes else ""))
-    return fig_speedup, fig_util
 
+    def reduce(results: List[RunResult]
+               ) -> Tuple[FigureResult, FigureResult]:
+        results = iter(results)
+        labels = [f"{side}x{side}" for side in sides]
+        speedup = {p: Series(p) for p in placements}
+        util: Dict[str, Series] = {}
+        for side in sides:
+            col = f"{side}x{side}"
+            for placement in placements:
+                doall, dec = next(results), next(results)
+                speedup[placement].values[col] = doall.cycles / dec.cycles
+                for plane in NOC_PLANES:
+                    key = f"{placement}/{plane}"
+                    series = util.setdefault(key, Series(key))
+                    series.values[col] = (
+                        dec.stats.get(f"noc.{plane}.hops", 0.0) / dec.cycles)
+        fig_speedup = FigureResult(
+            "mesh-speedup",
+            f"Decoupling speedup vs mesh size ({app}, {threads} threads, "
+            f"{maple_instances} MAPLEs)",
+            labels, [speedup[p] for p in placements],
+            notes="threads sit in the top-left tile region, so placements "
+                  "far from it pay the full core<->MAPLE distance")
+        # A plane with zero traffic everywhere (e.g. the memory plane when
+        # the workload's fetches never ride a MEMORY-plane link) cannot be
+        # plotted on a geomean scale — drop it and say so.
+        active = [s for s in (util[f"{p}/{plane}"] for p in placements
+                              for plane in NOC_PLANES)
+                  if any(s.values.values())]
+        idle_planes = sorted({s.label.split("/", 1)[1]
+                              for key, s in util.items() if s not in active})
+        fig_util = FigureResult(
+            "mesh-noc",
+            f"NoC utilization (hops/cycle) vs mesh size ({app}, "
+            f"maple-decouple)",
+            labels, active,
+            notes="per-plane hop counters over elapsed cycles"
+                  + (f"; idle plane(s) omitted: {', '.join(idle_planes)}"
+                     if idle_planes else ""))
+        return fig_speedup, fig_util
 
-def mesh_speedup(scale: int = 1,
-                 orch: Optional[Orchestrator] = None) -> FigureResult:
-    return mesh_scaling_study(scale=scale, orch=orch)[0]
-
-
-def mesh_noc(scale: int = 1,
-             orch: Optional[Orchestrator] = None) -> FigureResult:
-    return mesh_scaling_study(scale=scale, orch=orch)[1]
+    return Plan(tuple(specs), reduce)
 
 
 def mesh_coherence_study(scale: int = 1, app: str = "spmv", threads: int = 4,
@@ -539,8 +506,7 @@ def mesh_coherence_study(scale: int = 1, app: str = "spmv", threads: int = 4,
                          placements: Sequence[str] = ("edge", "per-quadrant"),
                          maple_instances: int = 4,
                          directory_slices: int = 4,
-                         config: Optional[SoCConfig] = None,
-                         orch: Optional[Orchestrator] = None) -> FigureResult:
+                         config: Optional[SoCConfig] = None) -> Plan:
     """Decoupling speedup with the coherence backend as the sweep axis:
     flat-latency charges (``dir-off``) vs the protocol-accurate home-node
     directory with refill/writeback traffic on the MEMORY plane
@@ -570,27 +536,31 @@ def mesh_coherence_study(scale: int = 1, app: str = "spmv", threads: int = 4,
                                      scale=scale, config=cfg))
                 specs.append(RunSpec(app, "maple-decouple", threads=threads,
                                      scale=scale, config=cfg))
-    results = iter(_gather(specs, orch))
-    labels = [f"{side}x{side}" for side in sides]
-    series = {f"{p}/dir-{'on' if d else 'off'}":
-              Series(f"{p}/dir-{'on' if d else 'off'}")
-              for p in placements for d in (False, True)}
-    for side in sides:
-        col = f"{side}x{side}"
-        for placement in placements:
-            for directory in (False, True):
-                doall, dec = next(results), next(results)
-                key = f"{placement}/dir-{'on' if directory else 'off'}"
-                series[key].values[col] = doall.cycles / dec.cycles
-    return FigureResult(
-        "mesh-coherence",
-        f"Decoupling speedup: flat vs directory MESI backend ({app}, "
-        f"{threads} threads, {maple_instances} MAPLEs, "
-        f"{directory_slices} home slices)",
-        labels, list(series.values()),
-        notes="dir-on routes invalidations, recalls, and L2 refills/"
-              "writebacks over the NoC planes; dir-off charges flat L2 "
-              "latencies (the bit-identity baseline)")
+
+    def reduce(results: List[RunResult]) -> FigureResult:
+        results = iter(results)
+        labels = [f"{side}x{side}" for side in sides]
+        series = {f"{p}/dir-{'on' if d else 'off'}":
+                  Series(f"{p}/dir-{'on' if d else 'off'}")
+                  for p in placements for d in (False, True)}
+        for side in sides:
+            col = f"{side}x{side}"
+            for placement in placements:
+                for directory in (False, True):
+                    doall, dec = next(results), next(results)
+                    key = f"{placement}/dir-{'on' if directory else 'off'}"
+                    series[key].values[col] = doall.cycles / dec.cycles
+        return FigureResult(
+            "mesh-coherence",
+            f"Decoupling speedup: flat vs directory MESI backend ({app}, "
+            f"{threads} threads, {maple_instances} MAPLEs, "
+            f"{directory_slices} home slices)",
+            labels, list(series.values()),
+            notes="dir-on routes invalidations, recalls, and L2 refills/"
+                  "writebacks over the NoC planes; dir-off charges flat L2 "
+                  "latencies (the bit-identity baseline)")
+
+    return Plan(tuple(specs), reduce)
 
 
 # -- §5.4: area --------------------------------------------------------------------------------
@@ -600,3 +570,13 @@ def area_analysis(config: Optional[SoCConfig] = None, cores_served: int = 8):
     """Paper: one MAPLE (8 queues, 1 KB scratchpad) is 1.1% of the eight
     Ariane cores it can supply."""
     return estimate_area(config or FPGA_CONFIG, cores_served=cores_served)
+
+
+def area_text() -> str:
+    """The ``area`` target: :func:`area_analysis` of the tapeout config."""
+    report = area_analysis()
+    lines = ["area analysis (12 nm model, §5.4)"]
+    lines += [f"  {name:35s} {mm2:8.4f} mm^2" for name, mm2 in report.rows()]
+    lines.append(f"  overhead vs served cores: "
+                 f"{report.overhead_fraction * 100:.2f}%")
+    return "\n".join(lines)

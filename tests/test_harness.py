@@ -113,9 +113,9 @@ def test_droplet_technique_on_bfs_uses_binding_indirections():
 
 
 def test_multidataset_figures_geomean_across_variants():
-    from repro.harness.figures import PAPER_DATASETS, fig8
-    result = fig8(apps=("sdhp",),
-                  datasets={"sdhp": PAPER_DATASETS["sdhp"]})
+    from repro.harness.figures import PAPER_DATASETS, fig8, run
+    [result] = run(fig8(apps=("sdhp",),
+                        datasets={"sdhp": PAPER_DATASETS["sdhp"]}))
     # SuiteSparse-surrogate and Kronecker variants both decouple well;
     # their geomean must stay in the winning range either way.
     assert result.series_by_label("maple-decoupling").values["sdhp"] > 1.5

@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.harness import figures
 from repro.harness.figures import fig15, queue_sweep
 from repro.harness.orchestrator import (
     CACHE_SCHEMA,
@@ -90,16 +91,16 @@ def test_parallel_equals_serial_on_figure_workload(tmp_path):
     identical per-run stats, and the cache hit path on a third pass."""
     apps = ("spmv",)
     serial_orch = Orchestrator(jobs=1)
-    serial = fig15(apps=apps, orch=serial_orch).render()
+    serial = figures.run(fig15(apps=apps), orch=serial_orch)[0].render()
 
     cache = DiskCache(tmp_path / "cache")
     parallel_orch = Orchestrator(jobs=4, cache=cache, timeout=120)
-    parallel = fig15(apps=apps, orch=parallel_orch).render()
+    parallel = figures.run(fig15(apps=apps), orch=parallel_orch)[0].render()
     assert serial == parallel  # byte-identical figure text
     assert parallel_orch.report["executed"] == parallel_orch.report["unique"]
 
     cached_orch = Orchestrator(jobs=4, cache=cache, timeout=120)
-    rerendered = fig15(apps=apps, orch=cached_orch).render()
+    rerendered = figures.run(fig15(apps=apps), orch=cached_orch)[0].render()
     assert rerendered == serial
     assert cached_orch.report["executed"] == 0  # every cell from cache
     assert cached_orch.report["cached"] == cached_orch.report["unique"]
@@ -108,10 +109,23 @@ def test_parallel_equals_serial_on_figure_workload(tmp_path):
 def test_queue_sweep_parallel_matches_serial():
     apps = ("spmv",)
     entries = (8, 32)
-    serial = queue_sweep(apps=apps, entries=entries).render()
-    parallel = queue_sweep(apps=apps, entries=entries,
-                           orch=Orchestrator(jobs=2, timeout=120)).render()
-    assert serial == parallel
+    plan = queue_sweep(apps=apps, entries=entries)
+    [serial] = figures.run(plan)
+    [parallel] = figures.run(plan, orch=Orchestrator(jobs=2, timeout=120))
+    assert serial.render() == parallel.render()
+
+
+def test_union_of_plans_matches_each_plan_run_alone():
+    """Plans submitted together render exactly as each does alone, and
+    the cells they share (spmv x2 on the FPGA config) simulate once."""
+    plans = (fig15(apps=("spmv",), targets=(25,)),
+             queue_sweep(apps=("spmv",), entries=(32,)))
+    orch = Orchestrator(jobs=1)
+    together = figures.run(*plans, orch=orch)
+    alone = [figures.run(plan)[0] for plan in plans]
+    assert ([fig.render() for fig in together]
+            == [fig.render() for fig in alone])
+    assert orch.report["unique"] < orch.report["total"]
 
 
 def test_submission_order_preserved_and_duplicates_deduped():
@@ -183,11 +197,10 @@ def test_cached_result_render_path_matches_fresh(tmp_path):
     """Figure values computed from cached results equal fresh ones even
     through the JSON float round trip."""
     cache = DiskCache(tmp_path)
-    fresh = fig15(apps=("spmv",), targets=(25,),
-                  orch=Orchestrator(jobs=1, cache=cache)).render()
-    cached = fig15(apps=("spmv",), targets=(25,),
-                   orch=Orchestrator(jobs=1, cache=cache)).render()
-    assert fresh == cached
+    plan = fig15(apps=("spmv",), targets=(25,))
+    [fresh] = figures.run(plan, orch=Orchestrator(jobs=1, cache=cache))
+    [cached] = figures.run(plan, orch=Orchestrator(jobs=1, cache=cache))
+    assert fresh.render() == cached.render()
 
 
 # -- timeout / retry ------------------------------------------------------------------

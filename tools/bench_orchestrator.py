@@ -33,8 +33,10 @@ DEFAULT_TARGETS = ["fig13", "fig15", "queue-sweep"]
 
 
 def render_all(targets, scale, orch):
-    from repro.harness.__main__ import _render
-    return {target: _render(target, scale, orch) for target in targets}
+    from repro.harness import figures
+    from repro.harness.__main__ import TARGETS
+    plans = [TARGETS[target](scale) for target in targets]
+    return dict(zip(targets, figures.run(*plans, orch=orch)))
 
 
 def main(argv=None) -> int:
@@ -55,10 +57,10 @@ def main(argv=None) -> int:
                              "(default 1.5)")
     args = parser.parse_args(argv)
 
-    from repro.harness.__main__ import _TARGETS
+    from repro.harness.__main__ import TARGETS
     from repro.harness.orchestrator import DiskCache, Orchestrator
 
-    targets = list(_TARGETS) if args.targets == ["all"] else args.targets
+    targets = list(TARGETS) if args.targets == ["all"] else args.targets
 
     def timed(orch):
         start = time.perf_counter()
