@@ -81,7 +81,8 @@ import threading
 import time
 import traceback as _traceback
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from itertools import takewhile
 from multiprocessing import connection as _mpconn
 from pathlib import Path
 from typing import (
@@ -220,9 +221,11 @@ def spec_key(spec: RunSpec) -> str:
 class RunResult:
     """Measurements of one cell plus execution metadata.
 
-    Only :meth:`identity` fields are determined by the spec; the
-    metadata (``wall_seconds``, ``attempts``, ``from_cache``,
-    ``worker_pid``) varies run to run and must never feed rendering.
+    The fields before ``key`` are the :meth:`identity`: the keys of
+    :meth:`ExperimentResult.summary`, determined by the spec.  The
+    metadata from ``key`` on (``wall_seconds``, ``attempts``,
+    ``from_cache``, ``worker_pid``) varies run to run and must never
+    feed rendering.
     """
 
     workload: str
@@ -250,20 +253,7 @@ class RunResult:
 
     def identity(self) -> Dict[str, Any]:
         """The deterministic payload (what caching/equality compare)."""
-        return {
-            "workload": self.workload,
-            "technique": self.technique,
-            "threads": self.threads,
-            "cycles": self.cycles,
-            "fallback_doall": self.fallback_doall,
-            "total_loads": self.total_loads,
-            "avg_load_latency": self.avg_load_latency,
-            "events_executed": self.events_executed,
-            "fault_seed": self.fault_seed,
-            "fault_events": self.fault_events,
-            "invariants_checked": self.invariants_checked,
-            "stats": self.stats,
-        }
+        return {name: getattr(self, name) for name in _IDENTITY_FIELDS}
 
     def to_json(self) -> Dict[str, Any]:
         payload = self.identity()
@@ -277,22 +267,17 @@ class RunResult:
         if payload.get("schema") != CACHE_SCHEMA:
             raise ValueError("cache schema mismatch")
         return cls(
-            workload=payload["workload"],
-            technique=payload["technique"],
-            threads=payload["threads"],
-            cycles=payload["cycles"],
-            fallback_doall=payload["fallback_doall"],
-            total_loads=payload["total_loads"],
-            avg_load_latency=payload["avg_load_latency"],
-            events_executed=payload["events_executed"],
-            stats=dict(payload["stats"]),
-            fault_seed=payload.get("fault_seed"),
-            fault_events=payload.get("fault_events", 0),
-            invariants_checked=payload.get("invariants_checked"),
+            **{name: payload[name] for name in _IDENTITY_FIELDS
+               if name in payload},
             key=payload.get("key", ""),
             wall_seconds=payload.get("wall_seconds", 0.0),
             from_cache=True,
         )
+
+
+#: RunResult's spec-determined fields: every field declared before ``key``.
+_IDENTITY_FIELDS = tuple(takewhile(lambda name: name != "key",
+                                   (f.name for f in fields(RunResult))))
 
 
 def seed_rngs_for(key: str) -> None:
@@ -339,21 +324,12 @@ def execute_spec(spec: RunSpec, checkpoint_path=None, on_checkpoint=None,
         on_checkpoint=on_checkpoint if checkpointing else None,
         resume_from=resume_from)
     summary = result.summary()
-    checked = summary.get("invariants_checked")
+    checked = summary["invariants_checked"]
+    # Lists, not tuples: identity() must round-trip through JSON.
+    summary["invariants_checked"] = (list(checked) if checked is not None
+                                     else None)
     return RunResult(
-        workload=summary["workload"],
-        technique=summary["technique"],
-        threads=summary["threads"],
-        cycles=summary["cycles"],
-        fallback_doall=summary["fallback_doall"],
-        total_loads=summary["total_loads"],
-        avg_load_latency=summary["avg_load_latency"],
-        events_executed=summary["events_executed"],
-        stats=summary["stats"],
-        fault_seed=summary.get("fault_seed"),
-        fault_events=summary.get("fault_events", 0),
-        # Lists, not tuples: identity() must round-trip through JSON.
-        invariants_checked=list(checked) if checked is not None else None,
+        **summary,
         key=spec_key(spec),
         wall_seconds=time.perf_counter() - start,
         worker_pid=os.getpid(),

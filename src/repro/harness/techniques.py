@@ -15,15 +15,24 @@ hardware the technique needs):
 ``lima-llc``       LIMA speculative mode explicitly
 =================  ============================================================
 
-Non-decouplable kernels (SPMM) silently fall back to doall under the
-decoupling techniques, exactly as the paper's compiler does; the result
-records the fallback.
+How a technique becomes threads, the same way for every workload: one
+dispatch (``_assignments``) maps the technique to its compiler plan and
+decides the fallback once.  Non-decouplable kernels (SPMM) silently fall
+back to doall under the decoupling techniques, exactly as the paper's
+compiler does; LIMA first retries in its LLC mode; the result records
+the fallback.  Each thread is then a core, a role opener (run on the
+thread, so a queue OPEN is timed), a slice index and count, and an
+end-of-slice hook (the backend's flush or store drain).  The workload's
+binding supplies only how a thread runs its slice
+(``binding.slice_runner``): a loop workload interprets its block of the
+outer loop once; BFS runs its level driver against one shared barrier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from functools import partial
+from typing import Dict, Optional
 
 from repro.baselines.desc import DescBackend
 from repro.baselines.droplet import DropletPrefetcher
@@ -36,13 +45,11 @@ from repro.compiler.interp import (
     LimaRole,
     MapleBackend,
     PrefetchRole,
-    interpret,
 )
 from repro.compiler.plan import Technique, plan_for
 from repro.core.api import QueueHandle
 from repro.cpu.core import Thread
 from repro.kernels import ALL_WORKLOADS
-from repro.kernels.base import WorkloadBinding
 from repro.params import SoCConfig
 from repro.sim import (
     DataIntegrityError,
@@ -55,10 +62,22 @@ from repro.sim import (
 from repro.sim.watchdog import write_dump
 from repro.system import Soc
 
-HARNESS_TECHNIQUES = (
-    "doall", "maple-decouple", "sw-decouple", "desc", "droplet",
-    "sw-prefetch", "lima", "lima-llc",
-)
+#: The compiler plan behind each harness technique (DROPLET is doall plus
+#: the memory-side prefetcher).
+_PLANS = {
+    "doall": Technique.DOALL,
+    "maple-decouple": Technique.MAPLE_DECOUPLE,
+    "sw-decouple": Technique.SW_DECOUPLE,
+    "desc": Technique.DESC_DECOUPLE,
+    "droplet": Technique.DOALL,
+    "sw-prefetch": Technique.SW_PREFETCH,
+    "lima": Technique.LIMA_PREFETCH,
+    "lima-llc": Technique.LIMA_LLC,
+}
+HARNESS_TECHNIQUES = tuple(_PLANS)
+_DECOUPLED = (Technique.MAPLE_DECOUPLE, Technique.SW_DECOUPLE,
+              Technique.DESC_DECOUPLE)
+_LIMA = (Technique.LIMA_PREFETCH, Technique.LIMA_LLC)
 
 
 @dataclass
@@ -100,7 +119,8 @@ class ExperimentResult:
 
         This is the worker-process boundary: a :class:`Soc` holds live
         generators and cannot cross it, but the orchestrator only needs
-        the measurements.
+        the measurements.  The keys are exactly the identity fields of
+        :class:`~repro.harness.orchestrator.RunResult`.
         """
         return {
             "workload": self.workload,
@@ -183,7 +203,7 @@ def run_workload(workload_name: str, technique: str, *,
                          "exclusive — compose one FaultPlan instead")
     if integrity_plan is not None:
         fault_plan = integrity_plan
-    if technique in ("maple-decouple", "sw-decouple", "desc"):
+    if _PLANS[technique] in _DECOUPLED:
         if threads % 2:
             raise ValueError("decoupling techniques need an even thread count")
 
@@ -197,14 +217,9 @@ def run_workload(workload_name: str, technique: str, *,
                                            **(dataset_kwargs or {}))
     binding = workload.bind(soc, aspace, dataset)
 
-    if workload.orchestrated:
-        assignments, fallback = _bfs_assignments(
-            soc, aspace, binding, technique, threads, prefetch_distance,
-            lima_packed)
-    else:
-        assignments, fallback = _loop_assignments(
-            soc, aspace, binding, technique, threads, prefetch_distance,
-            lima_packed)
+    assignments, fallback = _assignments(soc, aspace, binding, technique,
+                                         threads, prefetch_distance,
+                                         lima_packed)
 
     injector = None
     if fault_plan is not None and not fault_plan.is_empty():
@@ -260,7 +275,7 @@ def run_workload(workload_name: str, technique: str, *,
                             invariants_checked=checked)
 
 
-# -- loop workloads -------------------------------------------------------------
+# -- one technique dispatch for every workload ---------------------------------
 
 
 class _QueueAllocator:
@@ -298,284 +313,133 @@ class _QueueAllocator:
         return api, queue_id
 
 
-def _loop_assignments(soc: Soc, aspace, binding: WorkloadBinding,
-                      technique: str, threads: int, distance: int,
-                      lima_packed: bool = True):
-    kernel = binding.kernel
-    analysis = analyze(kernel)
+def _assignments(soc: Soc, aspace, binding, technique: str, threads: int,
+                 distance: int, lima_packed: bool):
+    """Decide technique → plan → fallback once, then build the threads.
 
+    Returns ``(assignments, fallback_doall)``.  A plan that cannot apply
+    runs as doall with :class:`DoallRole` over that plan, except that
+    LIMA first retries in its RMW-safe LLC mode.
+    """
+    analysis = analyze(binding.kernel)
     if technique == "droplet":
         prefetcher = DropletPrefetcher(soc.memsys)
-        _register_droplet(prefetcher, aspace, binding)
-        technique = "doall"
-
-    if technique == "doall":
-        plan = plan_for(analysis, Technique.DOALL)
-        return _doall_threads(soc, binding, plan, threads,
-                              lambda: DoallRole(plan)), False
-
-    if technique == "sw-prefetch":
-        plan = plan_for(analysis, Technique.SW_PREFETCH)
-        fallback = plan.fallback_doall
-        role_factory = ((lambda: DoallRole(plan)) if fallback
-                        else (lambda: PrefetchRole(plan, distance)))
-        return _doall_threads(soc, binding, plan, threads, role_factory), fallback
-
-    if technique in ("lima", "lima-llc"):
-        plan = plan_for(analysis, Technique.LIMA_PREFETCH
-                        if technique == "lima" else Technique.LIMA_LLC)
-        if plan.fallback_doall and technique == "lima":
-            plan = plan_for(analysis, Technique.LIMA_LLC)  # RMW-safe mode
-        if plan.fallback_doall:
-            return _doall_threads(soc, binding, plan, threads,
-                                  lambda: DoallRole(plan)), True
-        return _lima_threads(soc, aspace, binding, plan, threads,
-                             lima_packed), False
-
-    # Decoupling techniques: pairs of (Access, Execute) threads.
-    compiler_technique = {
-        "maple-decouple": Technique.MAPLE_DECOUPLE,
-        "sw-decouple": Technique.SW_DECOUPLE,
-        "desc": Technique.DESC_DECOUPLE,
-    }[technique]
-    plan = plan_for(analysis, compiler_technique)
-    if plan.fallback_doall:
-        return _doall_threads(soc, binding, plan, threads,
-                              lambda: DoallRole(plan)), True
-    return _decoupled_threads(soc, aspace, binding, plan, technique, threads), False
-
-
-def _doall_threads(soc: Soc, binding: WorkloadBinding, plan, threads: int,
-                   role_factory: Callable):
-    aspace = _aspace_of(binding)
+        for index_name, data_name in binding.droplet_indirections:
+            prefetcher.register_indirection(aspace, binding.arrays[index_name],
+                                            binding.arrays[data_name])
+    plan = plan_for(analysis, _PLANS[technique])
+    if plan.fallback_doall and plan.technique is Technique.LIMA_PREFETCH:
+        plan = plan_for(analysis, Technique.LIMA_LLC)  # RMW-safe mode
+    run_slice = binding.slice_runner(threads)
     assignments = []
-    for tid in range(threads):
-        params = binding.slice_params(tid, threads)
-        runtime = binding.runtime.with_params(**params)
-        program = interpret(binding.kernel, runtime, role_factory())
-        assignments.append(
-            (tid, Thread(program, aspace, f"{plan.technique.value}-{tid}")))
-    return assignments
+    for core, name, open_role, index, count, books in _threads(
+            soc, aspace, plan, threads, distance, lima_packed):
+        program = _program(run_slice, open_role, index, count, books)
+        assignments.append((core, Thread(program, aspace, name)))
+    return assignments, plan.fallback_doall
 
 
-def _aspace_of(binding: WorkloadBinding):
-    first_array = next(iter(binding.runtime.arrays.values()))
-    return first_array.aspace
+def _program(run_slice, open_role, index: int, count: int, books: bool):
+    role, end_of_slice = yield from open_role()
+    yield from run_slice(role, index, count, books, end_of_slice)
 
 
-def _lima_threads(soc: Soc, aspace, binding: WorkloadBinding, plan,
-                  threads: int, lima_packed: bool = True):
-    alloc = _QueueAllocator(soc, aspace)
-    chains = plan.lima_chains
-    packed = lima_packed and soc.config.queue_entry_bytes == 4
-    assignments = []
-    for tid in range(threads):
-        params = binding.slice_params(tid, threads)
-        runtime = binding.runtime.with_params(**params)
-        bindings = [alloc.bind(tid) for _ in chains]
+def _threads(soc: Soc, aspace, plan, threads: int, distance: int,
+             lima_packed: bool):
+    """Yield ``(core, name, open_role, slice index, slice count,
+    bookkeeper)`` per thread, in spawn order.
 
-        def program(rt=runtime, bindings=bindings):
-            handles = {}
-            for (api, queue_id), chain in zip(bindings, chains):
-                handle = yield from api.open(queue_id)
-                handles[chain.ima_load.stmt_id] = handle
-            role = LimaRole(plan, handles, packed=packed)
-            yield from interpret(binding.kernel, rt, role)
-
-        assignments.append((tid, Thread(program(), aspace, f"lima-{tid}")))
-    return assignments
-
-
-def _decoupled_threads(soc: Soc, aspace, binding: WorkloadBinding, plan,
-                       technique: str, threads: int):
-    pairs = threads // 2
-    alloc = (_QueueAllocator(soc, aspace)
-             if technique == "maple-decouple" else None)
-    assignments = []
-    for pair in range(pairs):
-        params = binding.slice_params(pair, pairs)
-        runtime = binding.runtime.with_params(**params)
-        access_core = 2 * pair
-        execute_core = 2 * pair + 1
-        _, execute_backend, access_open = _backend_factory(
-            soc, aspace, alloc, technique, pair, access_core)
-
-        def access_program(rt=runtime, open_gen=access_open):
-            backend = yield from open_gen()
-            role = AccessRole(plan, backend)
-            yield from interpret(binding.kernel, rt, role)
-            if hasattr(backend, "flush"):
-                yield from backend.flush()
-
-        def execute_program(rt=runtime, backend_fn=execute_backend):
-            backend = backend_fn()
-            role = ExecuteRole(plan, backend)
-            yield from interpret(binding.kernel, rt, role)
-            if hasattr(backend, "flush"):
-                yield from backend.flush()
-            if hasattr(backend, "drain_stores"):
-                yield from backend.drain_stores()
-
-        assignments.append((access_core,
-                            Thread(access_program(), aspace, f"access-{pair}")))
-        assignments.append((execute_core,
-                            Thread(execute_program(), aspace, f"execute-{pair}")))
-    return assignments
+    ``open_role`` is a generator returning the thread's role and its
+    end-of-slice hook (or None); it runs on the thread, so a queue OPEN
+    is timed.  Only slice 0's thread keeps the books, and of a decoupled
+    pair only its execute side.
+    """
+    if plan.fallback_doall or plan.technique not in _DECOUPLED + _LIMA:
+        if (plan.technique is Technique.SW_PREFETCH
+                and not plan.fallback_doall):
+            make_role = partial(PrefetchRole, plan, distance)
+        else:
+            make_role = partial(DoallRole, plan)
+        for tid in range(threads):
+            yield (tid, f"{plan.technique.value}-{tid}",
+                   _immediate(lambda: (make_role(), None)),
+                   tid, threads, tid == 0)
+    elif plan.technique in _LIMA:
+        alloc = _QueueAllocator(soc, aspace)
+        packed = lima_packed and soc.config.queue_entry_bytes == 4
+        for tid in range(threads):
+            bindings = [alloc.bind(tid) for _ in plan.lima_chains]
+            yield (tid, f"lima-{tid}", _lima_opener(plan, bindings, packed),
+                   tid, threads, tid == 0)
+    else:
+        pairs = threads // 2
+        alloc = (_QueueAllocator(soc, aspace)
+                 if plan.technique is Technique.MAPLE_DECOUPLE else None)
+        for pair in range(pairs):
+            open_access, open_execute = _pair_backends(soc, aspace, alloc,
+                                                       plan, pair)
+            yield (2 * pair, f"access-{pair}",
+                   _side_opener(AccessRole, plan, open_access),
+                   pair, pairs, False)
+            yield (2 * pair + 1, f"execute-{pair}",
+                   _side_opener(ExecuteRole, plan, open_execute),
+                   pair, pairs, pair == 0)
 
 
-def _backend_factory(soc: Soc, aspace, alloc, technique: str, pair: int,
-                     access_core: int):
-    """(access_open generator factory, execute backend factory).
+def _lima_opener(plan, bindings, packed: bool):
+    def open_role():
+        handles = {}
+        for (api, queue_id), chain in zip(bindings, plan.lima_chains):
+            handle = yield from api.open(queue_id)
+            handles[chain.ima_load.stmt_id] = handle
+        return LimaRole(plan, handles, packed=packed), None
+    return open_role
+
+
+def _side_opener(role_cls, plan, open_backend):
+    """One side of a decoupled pair.  Its end-of-slice hook is the
+    backend's ``flush`` (no backend also has ``drain_stores``); the
+    execute side, whose stores DeSC ships, drains them instead."""
+    def open_role():
+        backend = yield from open_backend()
+        end_of_slice = getattr(backend, "flush", None)
+        if end_of_slice is None and role_cls is ExecuteRole:
+            end_of_slice = getattr(backend, "drain_stores", None)
+        return role_cls(plan, backend), end_of_slice
+    return open_role
+
+
+def _pair_backends(soc: Soc, aspace, alloc, plan, pair: int):
+    """(access, execute) backend openers of one decoupled pair.
 
     The access side's backend construction may itself need timed MMIO
     (OPEN), hence the generator shape.
     """
-    if technique == "maple-decouple":
+    access_core = 2 * pair
+    if plan.technique is Technique.MAPLE_DECOUPLE:
         # The pair binds to the instance nearest its access core; both
         # endpoints share the instance and queue (one SPSC channel).
         api, queue_id = alloc.bind(access_core)
 
-        def access_open():
+        def open_access():
             handle = yield from api.open(queue_id)
             return MapleBackend(handle)
 
-        def execute_backend():
-            return MapleBackend(QueueHandle(api, queue_id))
+        return open_access, _immediate(
+            lambda: MapleBackend(QueueHandle(api, queue_id)))
 
-        return None, execute_backend, access_open
-
-    if technique == "sw-decouple":
+    if plan.technique is Technique.SW_DECOUPLE:
         ring = SwQueueRing(soc, aspace, name=f"swq{pair}")
-        return None, ring.consumer, _immediate(ring.producer)
+        return _immediate(ring.producer), _immediate(ring.consumer)
 
     # DeSC: one engine per pair, shared by both endpoints.
     engine = DescBackend(soc, aspace, supply_core_id=access_core)
-    return None, (lambda: engine), _immediate(lambda: engine)
+    return _immediate(lambda: engine), _immediate(lambda: engine)
 
 
 def _immediate(factory):
-    """Wrap a plain factory as the generator the access program expects."""
+    """Wrap a plain factory as an opener that needs no timed set-up."""
     def open_gen():
         return factory()
         yield  # pragma: no cover
     return open_gen
-
-
-def _register_droplet(prefetcher: DropletPrefetcher, aspace,
-                      binding) -> None:
-    for index_name, data_name in binding.droplet_indirections:
-        arrays = binding.runtime.arrays if hasattr(binding, "runtime") else None
-        if arrays is not None:
-            prefetcher.register_indirection(aspace, arrays[index_name],
-                                            arrays[data_name])
-        else:  # BFS binding exposes arrays directly
-            prefetcher.register_indirection(
-                aspace, getattr(binding, index_name), getattr(binding, data_name))
-
-
-# -- BFS (orchestrated) ---------------------------------------------------------
-
-
-def _bfs_assignments(soc: Soc, aspace, binding, technique: str, threads: int,
-                     distance: int, lima_packed: bool = True):
-    kernel = binding.kernel
-    analysis = analyze(kernel)
-
-    if technique == "droplet":
-        prefetcher = DropletPrefetcher(soc.memsys)
-        _register_droplet(prefetcher, aspace, binding)
-        technique = "doall"
-
-    barrier = soc.barrier(threads, name="bfs")
-    assignments = []
-
-    if technique in ("doall", "sw-prefetch", "lima", "lima-llc"):
-        if technique == "doall":
-            plan = plan_for(analysis, Technique.DOALL)
-            factory = lambda tid: _const_role_gen(DoallRole(plan))
-        elif technique == "sw-prefetch":
-            plan = plan_for(analysis, Technique.SW_PREFETCH)
-            factory = lambda tid: _const_role_gen(PrefetchRole(plan, distance))
-        else:
-            plan = plan_for(analysis, Technique.LIMA_PREFETCH
-                            if technique == "lima" else Technique.LIMA_LLC)
-            if plan.fallback_doall:
-                plan = plan_for(analysis, Technique.DOALL)
-                factory = lambda tid: _const_role_gen(DoallRole(plan))
-            else:
-                alloc = _QueueAllocator(soc, aspace)
-                packed = lima_packed and soc.config.queue_entry_bytes == 4
-
-                def factory(tid, plan=plan, alloc=alloc, packed=packed):
-                    bindings = [alloc.bind(tid) for _ in plan.lima_chains]
-
-                    def open_role():
-                        handles = {}
-                        for (api, queue_id), chain in zip(
-                                bindings, plan.lima_chains):
-                            handle = yield from api.open(queue_id)
-                            handles[chain.ima_load.stmt_id] = handle
-                        return LimaRole(plan, handles, packed=packed)
-                    return open_role
-
-        for tid in range(threads):
-            def program(tid=tid, open_role=factory(tid)):
-                role = yield from open_role()
-                yield from binding.driver(role, tid, threads, barrier,
-                                          bookkeeper=(tid == 0))
-            assignments.append((tid, Thread(program(), aspace, f"bfs-{tid}")))
-        return assignments, False
-
-    # Decoupled BFS: pairs sharing the barrier with everyone.
-    compiler_technique = {
-        "maple-decouple": Technique.MAPLE_DECOUPLE,
-        "sw-decouple": Technique.SW_DECOUPLE,
-        "desc": Technique.DESC_DECOUPLE,
-    }[technique]
-    plan = plan_for(analysis, compiler_technique)
-    if plan.fallback_doall:
-        doall_plan = plan_for(analysis, Technique.DOALL)
-        for tid in range(threads):
-            def program(tid=tid):
-                role = DoallRole(doall_plan)
-                yield from binding.driver(role, tid, threads, barrier,
-                                          bookkeeper=(tid == 0))
-            assignments.append((tid, Thread(program(), aspace, f"bfs-{tid}")))
-        return assignments, True
-
-    pairs = threads // 2
-    alloc = (_QueueAllocator(soc, aspace)
-             if technique == "maple-decouple" else None)
-    for pair in range(pairs):
-        access_core = 2 * pair
-        execute_core = 2 * pair + 1
-        _, execute_backend, access_open = _backend_factory(
-            soc, aspace, alloc, technique, pair, access_core)
-
-        def access_program(pair=pair, open_gen=access_open):
-            backend = yield from open_gen()
-            role = AccessRole(plan, backend)
-            flush = getattr(backend, "flush", None)
-            yield from binding.driver(role, pair, pairs, barrier,
-                                      bookkeeper=False, after_level=flush)
-
-        def execute_program(pair=pair, backend_fn=execute_backend):
-            backend = backend_fn()
-            role = ExecuteRole(plan, backend)
-            after = (getattr(backend, "drain_stores", None)
-                     or getattr(backend, "flush", None))
-            yield from binding.driver(role, pair, pairs, barrier,
-                                      bookkeeper=(pair == 0), after_level=after)
-
-        assignments.append((access_core,
-                            Thread(access_program(), aspace, f"bfs-access-{pair}")))
-        assignments.append((execute_core,
-                            Thread(execute_program(), aspace, f"bfs-execute-{pair}")))
-    return assignments, False
-
-
-def _const_role_gen(role):
-    def open_role():
-        return role
-        yield  # pragma: no cover
-    return open_role

@@ -1,14 +1,18 @@
 """The paper's evaluation workloads (§4.1).
 
-SDHP, SPMV, and SPMM are expressed in the compiler IR and go through the
-full slicing/lowering pipeline; BFS is level-orchestrated — an outer
-driver (also fully timed) invokes a per-level IR kernel, swaps frontier
-buffers, and synchronizes at epoch barriers, mirroring how the paper's
-FPGA runs sliced BFS manually.
+All four kernels are expressed in the compiler IR and go through the
+full slicing/lowering pipeline, and the harness applies one technique
+dispatch to all of them.  They differ only in how a thread runs its
+slice (``binding.slice_runner``): SDHP, SPMV and SPMM interpret a block
+of the outer loop once; BFS runs an outer level driver (also fully
+timed) that invokes a per-level IR kernel, swaps frontier buffers, and
+synchronizes at epoch barriers, mirroring how the paper's FPGA runs
+sliced BFS manually.
 
 Each workload provides seeded datasets, a numpy/pure-Python reference
-implementation, array binding into a simulated address space, and a
-result check that reads the simulated memory back.
+implementation, array binding into a simulated address space (exposed
+as ``binding.arrays``), and a result check that reads the simulated
+memory back.
 """
 
 from repro.kernels.base import LoopWorkload, WorkloadBinding

@@ -8,7 +8,7 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from repro.compiler.ir import Kernel
-from repro.compiler.interp import Runtime
+from repro.compiler.interp import Runtime, interpret
 
 
 @dataclass
@@ -16,9 +16,10 @@ class WorkloadBinding:
     """A kernel bound to simulated arrays, ready to partition and run.
 
     ``partition_params`` names the two params that bound the outer loop;
-    the runner slices ``[0, total_iterations)`` across threads through
-    them.  ``check`` reads simulated memory (functionally, zero-time)
-    and raises AssertionError on a wrong result.
+    :meth:`run_slice` interprets one thread's block of ``[0,
+    total_iterations)`` through them.  ``check`` reads simulated memory
+    (functionally, zero-time) and raises AssertionError on a wrong
+    result.
     """
 
     kernel: Kernel
@@ -38,6 +39,25 @@ class WorkloadBinding:
         lo = min(thread * per, self.total_iterations)
         hi = min(lo + per, self.total_iterations)
         return {self.partition_params[0]: lo, self.partition_params[1]: hi}
+
+    @property
+    def arrays(self) -> Dict[str, object]:
+        return self.runtime.arrays
+
+    def slice_runner(self, threads: int):
+        """How each of ``threads`` threads runs its slice: see
+        :meth:`run_slice`."""
+        return self.run_slice
+
+    def run_slice(self, role, index: int, count: int, bookkeeper: bool,
+                  end_of_slice=None):
+        """Generator: interpret block ``index`` of ``count`` of the outer
+        loop once, then run the ``end_of_slice`` hook (a queue flush or
+        store drain), if any.  Loop workloads keep no books."""
+        runtime = self.runtime.with_params(**self.slice_params(index, count))
+        yield from interpret(self.kernel, runtime, role)
+        if end_of_slice is not None:
+            yield from end_of_slice()
 
 
 def assert_close(got, expected, rtol: float, atol: float = 0.0) -> None:
@@ -74,7 +94,6 @@ class LoopWorkload:
     """
 
     name: str = "loop-workload"
-    orchestrated = False  # BFS overrides
 
     def default_dataset(self, scale: int = 1, seed: int = 0):
         raise NotImplementedError

@@ -15,6 +15,7 @@ distances — the epoch-barrier argument of §3.6.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.compiler.interp import Role, Runtime, interpret
@@ -96,7 +97,8 @@ class BfsBinding:
         self.dist.write(root, 0)
         self.frontier_a.write(0, root)
         self.count_cur.write(0, 1)
-        self.fixed_arrays: Dict[str, object] = {
+        #: The arrays every level shares (the frontiers swap per level).
+        self.arrays: Dict[str, object] = {
             "row_ptr": self.row_ptr,
             "neighbors": self.neighbors,
             "dist": self.dist,
@@ -111,13 +113,19 @@ class BfsBinding:
             wrong = [i for i, (g, e) in enumerate(zip(got, expected)) if g != e]
             raise AssertionError(f"BFS distances wrong at vertices {wrong[:10]}")
 
-    def driver(self, role: Role, slice_index: int, num_slices: int, barrier,
+    def slice_runner(self, threads: int):
+        """How each of ``threads`` threads runs its slice: the level
+        :meth:`driver`, against one barrier they all share."""
+        return partial(self.driver, self.soc.barrier(threads, name="bfs"))
+
+    def driver(self, barrier, role: Role, slice_index: int, num_slices: int,
                bookkeeper: bool,
                after_level: Optional[Callable[[], object]] = None):
         """The per-thread timed level loop.
 
         ``after_level`` optionally supplies a generator run after each
         level's kernel slice (software-queue flush, DeSC store drain).
+        Only the ``bookkeeper`` publishes the next level's count.
         """
         level = 1
         current, upcoming = self.frontier_a, self.frontier_b
@@ -126,7 +134,7 @@ class BfsBinding:
             if count == 0:
                 break
             lo, hi = _block(count, slice_index, num_slices)
-            arrays = dict(self.fixed_arrays)
+            arrays = dict(self.arrays)
             arrays["frontier"] = current
             arrays["next_frontier"] = upcoming
             runtime = Runtime(arrays, params={"f_lo": lo, "f_hi": hi,
@@ -147,7 +155,6 @@ class BfsBinding:
 
 class BfsWorkload(LoopWorkload):
     name = "bfs"
-    orchestrated = True
 
     def default_dataset(self, scale: int = 1, seed: int = 0,
                         which: str = "wikipedia") -> Graph:

@@ -307,10 +307,6 @@ class MemorySystem:
         MMIO region (device-owned, bypasses the caches entirely)."""
         return self._mmio_region(paddr) is not None
 
-    def is_mmio(self, paddr: int) -> bool:
-        """Alias of :meth:`is_uncacheable` (historical name)."""
-        return self.is_uncacheable(paddr)
-
     def amo(self, core_id: int, paddr: int, op: Callable[[Any], Any]):
         """Generator: atomic read-modify-write. Returns the old value.
 
@@ -631,8 +627,3 @@ class MemorySystem:
     def sharers_of(self, line: int) -> Set[int]:
         """Cores currently holding ``line`` in their L1 (a copy)."""
         return self.book.sharers_of(line)
-
-    def dirty_holder(self, line: int, excluding: int) -> Optional[int]:
-        """The core (other than ``excluding``) holding ``line`` MODIFIED,
-        if any — the recall target of an ownership transfer."""
-        return self.book.dirty_holder(line, excluding)

@@ -50,10 +50,9 @@ Hot-path design (the engine executes millions of events per figure):
 - The generator step (send / StopIteration / dispatch-on-yield) is
   inlined into :meth:`Simulator.run` with the dominant ``yield <int>``
   case handled in-loop; only non-int yields take the out-of-line
-  :meth:`_dispatch` path.  Plain runs take a loop with no per-event
-  ``max_events`` bookkeeping, so :attr:`run_wall_seconds` measures the
-  model, not disabled instrumentation; bounded runs use the separate
-  :meth:`_run_bounded` loop.
+  :meth:`_dispatch` path.  The loop carries no per-event bookkeeping
+  beyond the event count, so :attr:`run_wall_seconds` measures the
+  model; runaway models are the watchdog's job, not the engine's.
 
 The scheduling *semantics* are identical to the original engine, which is
 preserved as :mod:`repro.sim.reference` and checked against this one by
@@ -225,17 +224,14 @@ class Simulator:
         self._ready.append(proc)
         return proc
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
+    def run(self, until: Optional[int] = None) -> int:
         """Drain the event queue.
 
-        Stops when the queue is empty, when simulated time would pass
-        ``until``, or after ``max_events`` events (a runaway-model backstop).
-        Returns the final simulation time; when ``until`` is given the
+        Stops when the queue is empty or when simulated time would pass
+        ``until``.  Returns the final simulation time; when ``until`` is given the
         clock always ends at ``until``, whether or not the queue drained
         before reaching it.
         """
-        if max_events is not None:
-            return self._run_bounded(until, max_events)
         queue = self._queue
         ready = self._ready
         wheel = self._wheel
@@ -356,79 +352,7 @@ class Simulator:
             self._now = until
         return self._now
 
-    def _run_bounded(self, until: Optional[int], max_events: int) -> int:
-        """The instrumented run loop: per-event ``max_events`` accounting.
-
-        Kept out of :meth:`run` so plain runs never pay for the backstop
-        check and ``run_wall_seconds`` stays an honest model-time meter.
-        """
-        ready = self._ready
-        events = 0
-        start = _walltime.perf_counter()
-        try:
-            while True:
-                if not ready:
-                    time = self._next_time()
-                    if time is None:
-                        break
-                    if until is not None and time > until:
-                        self._now = until
-                        return until
-                    self._now = time
-                    self._drain_into_ready(time)
-                rec = ready.popleft()
-                events += 1
-                cls = rec.__class__
-                if cls is Process:
-                    self._step(rec, None)
-                elif cls is tuple:
-                    self._step(rec[0], rec[1])
-                else:
-                    rec()
-                if events >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} at cycle {self._now}")
-        finally:
-            self.events_executed += events
-            self.run_wall_seconds += _walltime.perf_counter() - start
-        if until is not None and until > self._now:
-            self._now = until
-        return self._now
-
     # -- queue plumbing ----------------------------------------------------
-
-    def _next_time(self) -> Optional[int]:
-        """The next pending timestamp across wheel and heap, or None."""
-        occ = self._occ
-        wt = None
-        if occ:
-            start_slot = (self._now + 1) & self._mask
-            hi = occ >> start_slot
-            if hi:
-                wt = self._now + 1 + ((hi & -hi).bit_length() - 1)
-            else:
-                wt = (self._now + 1 + self._wheel_size - start_slot
-                      + ((occ & -occ).bit_length() - 1))
-        if self._queue:
-            ht = self._queue[0][0]
-            return ht if wt is None or ht <= wt else wt
-        return wt
-
-    def _drain_into_ready(self, time: int) -> None:
-        """Move every record due at ``time`` into the ready deque,
-        heap records first (see the ordering note in :meth:`run`)."""
-        queue = self._queue
-        ready = self._ready
-        while queue and queue[0][0] == time:
-            ready.append(heappop(queue)[2])
-        occ = self._occ
-        if occ:
-            slot = time & self._mask
-            if occ & _BIT[slot]:
-                lst = self._wheel[slot]
-                ready.extend(lst)
-                lst.clear()
-                self._occ = occ & _NBIT[slot]
 
     def _grow(self) -> int:
         """Double the (empty) wheel toward the observed delay ceiling.
@@ -452,19 +376,9 @@ class Simulator:
     def _resume(self, proc: Process, value: Any) -> None:
         self._ready.append(proc if value is None else (proc, value))
 
-    def _step(self, proc: Process, payload: Any) -> None:
-        """One generator step, out of line (bounded-run path)."""
-        try:
-            yielded = proc._gen.send(payload)
-        except StopIteration as stop:
-            self._live_processes -= 1
-            proc._finish(stop.value)
-        else:
-            self._dispatch(proc, yielded)
-
     def _dispatch(self, proc: Process, yielded: Any) -> None:
-        """Route a yield from the out-of-line paths (bounded runs, int
-        subclasses such as bool, Signals, joins)."""
+        """Route a yield the inlined step in :meth:`run` does not handle
+        (int subclasses such as bool, Signals, joins)."""
         if isinstance(yielded, int):
             if yielded < 0:
                 raise SimulationError(f"cannot schedule into the past (delay={yielded})")

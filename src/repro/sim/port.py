@@ -201,9 +201,6 @@ class PortTap:
     def enable_trace(self, limit: int = DEFAULT_TRACE_DEPTH) -> None:
         self.trace = deque(maxlen=limit)
 
-    def disable_trace(self) -> None:
-        self.trace = None
-
     def count(self, kind: str) -> None:
         by_kind = self.by_kind
         by_kind[kind] = by_kind.get(kind, 0) + 1

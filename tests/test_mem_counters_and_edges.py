@@ -103,8 +103,8 @@ def test_mmio_is_uncached():
     drive(sim, ms.load(0, 1 << 40))
     drive(sim, ms.load(0, 1 << 40))
     assert log == ["load", "load"]  # never served from a cache
-    assert ms.is_mmio(1 << 40)
-    assert not ms.is_mmio(0x1000)
+    assert ms.is_uncacheable(1 << 40)
+    assert not ms.is_uncacheable(0x1000)
 
 
 def test_store_timing_only_mode_does_not_write():

@@ -162,18 +162,6 @@ def test_run_until_stops_the_clock():
     assert fired
 
 
-def test_max_events_backstop():
-    sim = Simulator()
-
-    def forever():
-        while True:
-            yield 1
-
-    sim.spawn(forever())
-    with pytest.raises(SimulationError):
-        sim.run(max_events=100)
-
-
 def test_live_process_accounting():
     sim = Simulator()
 

@@ -4,8 +4,12 @@ The differential fuzz runs one slice lowering on both engines, so it
 cannot see a lowering bug that changes the instruction stream.  These
 values pin cycles, engine events and the sha256 of ``stats_snapshot()``
 for every harness technique on every workload (scale 1, seed 0, two
-threads; BFS on a 256-vertex power-law graph to keep tier-1 fast).  Any
-drift means the slices no longer issue the same instructions.
+threads; BFS on a 256-vertex power-law graph to keep tier-1 fast), plus
+whether the run fell back to doall.  Any drift means the slices no
+longer issue the same instructions.  A second, four-thread table covers
+the second decoupled pair and the second LIMA thread: their queue
+bindings, the barrier's parties and the rule that only the first slice
+keeps BFS's books.
 """
 
 import hashlib
@@ -97,6 +101,25 @@ GOLDEN = {
         "bc92bb21d145e79ded446a7390254a893db7a3c0a5de57e44c3f395244b14c31"),
 }
 
+#: The cells whose plan cannot apply and which therefore run as doall:
+#: SPMM is not decouplable (§4.1).
+FALLBACK_DOALL = {"spmm/maple-decouple", "spmm/sw-decouple", "spmm/desc"}
+
+GOLDEN_FOUR_THREADS = {
+    "bfs/maple-decouple": (57779, 20557,
+        "22908e8657d3d5019cc614e1d0aa3b7d96769b6a9e30a55105e8695d50ae9a3c"),
+    "bfs/sw-decouple": (57169, 26218,
+        "1dddf8517fc166b3cf112de249c563341c49226f91440628921f2c0d75f63830"),
+    "bfs/desc": (42882, 17133,
+        "02eb0d45c4a2d8a8651698f10189b56abc293a48397095f6dc5328260e1bf7aa"),
+    "bfs/lima": (61594, 11946,
+        "6b3ec9492afd19e8a8b52114398eb1f8f8b2732960f591a8e8393d0229c9fbc9"),
+    "spmv/maple-decouple": (22021, 9386,
+        "e464d2461f38e96dc54db09cffad8dfcf74b01eb17c5430b3fbfaffb865a8993"),
+    "spmv/sw-decouple": (107864, 37476,
+        "4eb9aeeab4e061ffe3c62c091699c8724db86b3357644e54db5d29442e812e4e"),
+}
+
 
 def _digest(snapshot) -> str:
     canon = json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
@@ -109,16 +132,27 @@ def test_golden_table_covers_every_technique_and_workload():
                            for tech in HARNESS_TECHNIQUES}
 
 
-@pytest.mark.parametrize("cell", sorted(GOLDEN))
-def test_slice_golden(cell):
+def _run_cell(cell, threads):
     app, technique = cell.split("/")
     kwargs = {}
     if app == "bfs":
         kwargs["dataset"] = power_law_graph(256, avg_degree=4, seed=1)
-    result = run_workload(app, technique, scale=1, seed=0, **kwargs)
-    got = (result.cycles, result.soc.sim.events_executed,
-           _digest(result.soc.stats_snapshot()))
-    assert got == GOLDEN[cell]
+    result = run_workload(app, technique, threads=threads, scale=1, seed=0,
+                          **kwargs)
+    assert result.fallback_doall == (cell in FALLBACK_DOALL)
+    return (result.cycles, result.soc.sim.events_executed,
+            _digest(result.soc.stats_snapshot()))
+
+
+@pytest.mark.parametrize("cell", sorted(GOLDEN))
+def test_slice_golden(cell):
+    assert _run_cell(cell, threads=2) == GOLDEN[cell]
+
+
+@pytest.mark.filterwarnings("ignore::repro.system.soc.MeshGrownWarning")
+@pytest.mark.parametrize("cell", sorted(GOLDEN_FOUR_THREADS))
+def test_slice_golden_four_threads(cell):
+    assert _run_cell(cell, threads=4) == GOLDEN_FOUR_THREADS[cell]
 
 
 def _copy_kernel():
