@@ -42,6 +42,23 @@ class MapleError(RuntimeError):
     """Protocol violation at the MAPLE interface."""
 
 
+_LOAD_OPS = {op.value: op for op in LoadOp}
+_STORE_OPS = {op.value: op for op in StoreOp}
+
+
+def _load_op(opcode: int) -> LoadOp:
+    """The decoded load opcode: a table lookup, the Enum call (which
+    raises) only for an unknown one."""
+    op = _LOAD_OPS.get(opcode)
+    return op if op is not None else LoadOp(opcode)
+
+
+def _store_op(opcode: int) -> StoreOp:
+    """The decoded store opcode (see :func:`_load_op`)."""
+    op = _STORE_OPS.get(opcode)
+    return op if op is not None else StoreOp(opcode)
+
+
 class Maple:
     """One MAPLE instance on its own mesh tile."""
 
@@ -79,6 +96,9 @@ class Maple:
         self.mem_port = memsys.connect_device_port(
             ports, f"maple{instance_id}", tile_id,
             depth=config.maple_max_inflight + config.maple_num_queues + 2)
+        #: The memory seam's lowered pointer fetches (see repro.sim.port).
+        self._lowered_fetch = {kind: self.mem_port.lowered(kind)
+                               for kind in ("dram_load", "llc_load")}
 
         self.scratchpad = Scratchpad(
             sim, config.scratchpad_bytes, config.maple_num_queues,
@@ -120,10 +140,14 @@ class Maple:
             response_link=network.link(Plane.RESPONSE,
                                        post=config.mmio_path_latency),
         )
+        # The same two legs for the lowered access (_mmio_lowered).
+        self._mmio_path_latency = config.mmio_path_latency
+        self._to_device = network.traversal(Plane.REQUEST)
+        self._to_core = network.traversal(Plane.RESPONSE)
 
         memsys.register_mmio(MMIORegion(
             self.page_paddr, self.page_paddr + PAGE_SIZE, self._mmio_entry,
-            name=f"maple{instance_id}",
+            name=f"maple{instance_id}", lowered=self._mmio_lowered,
         ))
 
     def debug_state(self) -> dict:
@@ -170,15 +194,64 @@ class Maple:
         return self._mmio_dispatch.request(kind, (paddr, value, core_id),
                                            src=core_tile)
 
+    def _mmio_lowered(self, op: str, paddr: int, value, core_id: int,
+                      client, client_txn: int):
+        """Generator: the MMIORegion's lowered access — a core's whole
+        MMIO access in one frame directly under the core's: the dispatch
+        port's bookkeeping, the request leg (core path + request NoC),
+        :meth:`_serve_mmio`'s decode and pipeline charge, the pipeline
+        itself and the response leg (response NoC + return path) — the
+        Fig. 14 segments, yielded exactly as the port pair yields them —
+        then the close of the core-seam transaction ``client_txn`` the
+        memory system opened.  While the MMIO seam is armed or at depth
+        the middle is the generic :meth:`_mmio_entry` request."""
+        dispatch = self._mmio_dispatch
+        load = op == "load"
+        txn = dispatch.begin("mmio_load" if load else "mmio_store")
+        try:
+            if txn is None:
+                result = yield from self._mmio_entry(op, paddr, value,
+                                                     core_id)
+            else:
+                try:
+                    core_tile = self.core_tiles.get(core_id, core_id)
+                    path = self._mmio_path_latency
+                    if path:
+                        yield path
+                    yield self._to_device(core_tile, self.tile_id)
+                    self.mmio_port.tap.served += 1
+                    opcode, queue_id = decode_offset(paddr - self.page_paddr)
+                    yield self._pipeline_latency
+                    if load:
+                        result = yield from self._dispatch_load(
+                            _load_op(opcode), queue_id, core_id)
+                    else:
+                        result = yield from self._dispatch_store(
+                            _store_op(opcode), queue_id, value, core_id)
+                    yield self._to_core(self.tile_id, core_tile)
+                    if path:
+                        yield path
+                except BaseException:
+                    dispatch.end(txn, ok=False)
+                    raise
+                dispatch.end(txn)
+        except BaseException:
+            client.end(client_txn, ok=False)
+            raise
+        client.end(client_txn)
+        return result
+
     def _serve_mmio(self, msg: Message):
-        """Generator: decode + dispatch one MMIO transaction (device side)."""
+        """Generator: decode + dispatch one MMIO transaction (device side).
+        :meth:`_mmio_lowered` repeats this decode inline, one frame up;
+        tests/test_seam_lowering.py pins the two paths together."""
         paddr, value, core_id = msg.payload
         opcode, queue_id = decode_offset(paddr - self.page_paddr)
         yield self._pipeline_latency  # decode + pipeline stages
         if msg.kind == "mmio_load":
-            return (yield from self._dispatch_load(LoadOp(opcode), queue_id,
+            return (yield from self._dispatch_load(_load_op(opcode), queue_id,
                                                    core_id))
-        return (yield from self._dispatch_store(StoreOp(opcode), queue_id,
+        return (yield from self._dispatch_store(_store_op(opcode), queue_id,
                                                 value, core_id))
 
     # -- Consume pipeline ----------------------------------------------------------
@@ -292,9 +365,10 @@ class Maple:
         therefore the Access core) is released as soon as it is buffered."""
         queue = self.scratchpad.queue(queue_id)
         buffer = self._produce_buffers[queue_id]
-        if buffer.available == 0:
-            self._c_produce_backpressure.value += 1
-        yield from buffer.acquire()
+        if not buffer.try_acquire():
+            if buffer.available == 0:
+                self._c_produce_backpressure.value += 1
+            yield from buffer.acquire()
         if opcode == StoreOp.PRODUCE:
             self._c_produces.value += 1
             self._sim.spawn(self._produce_data_worker(queue, buffer, value),
@@ -330,11 +404,14 @@ class Maple:
         try:
             queue.ptr_fetches += 1
             self._h_fetch_mlp.add(self._inflight.in_use)
-            paddr = yield from self.mmu.translate(ptr)
+            paddr = self.mmu.lookup(ptr)
+            if paddr is None:
+                paddr = yield from self.mmu.translate_miss(ptr)
             kind = "llc_load" if via_llc else "dram_load"
             limit = self.config.poison_refetch_limit
+            fetch = self._lowered_fetch[kind]
             for _attempt in range(limit + 1):
-                data = yield from self.mem_port.request(kind, paddr)
+                data = yield from fetch(paddr)
                 if not is_poisoned(data):
                     break
                 # Poisoned produce fill: the pointer is still in hand, so
@@ -355,7 +432,9 @@ class Maple:
         """Speculative prefetch: translate and push the line into the LLC."""
         yield from self._inflight.acquire()
         try:
-            paddr = yield from self.mmu.translate(ptr)
+            paddr = self.mmu.lookup(ptr)
+            if paddr is None:
+                paddr = yield from self.mmu.translate_miss(ptr)
         finally:
             self._inflight.release()
         self.mem_port.post("l2_prefetch", paddr)

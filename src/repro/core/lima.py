@@ -108,6 +108,9 @@ class LimaUnit:
     def _run(self, queue_id: int, config: LimaConfig, mode: str):
         maple = self._maple
         mem_port = maple.mem_port
+        # The seam's lowered line fetch (it takes a port request itself
+        # while the seam is armed).
+        fetch_line = mem_port.lowered("dram_line")
         line_size = maple.config.line_size
         queue = maple.scratchpad.queue(queue_id)
         maple.stats.bump("lima_started")
@@ -115,11 +118,13 @@ class LimaUnit:
         line_words = []
         for i in range(config.lo, config.hi):
             vaddr_b = config.base_b + WORD_BYTES * i
-            paddr_b = yield from maple.mmu.translate(vaddr_b)
+            paddr_b = maple.mmu.lookup(vaddr_b)
+            if paddr_b is None:
+                paddr_b = yield from maple.mmu.translate_miss(vaddr_b)
             line = paddr_b & ~(line_size - 1)
             if line != current_line:
                 # Fetch the next 64 B chunk of B into the scratchpad.
-                line_words = yield from mem_port.request("dram_line", line)
+                line_words = yield from fetch_line(line)
                 current_line = line
                 maple.stats.bump("lima_chunks")
             index = line_words[(paddr_b - line) // WORD_BYTES]
@@ -129,7 +134,7 @@ class LimaUnit:
                 limit = maple.config.poison_refetch_limit
                 for _ in range(limit):
                     maple.stats.bump("lima_poison_refetches")
-                    line_words = yield from mem_port.request("dram_line", line)
+                    line_words = yield from fetch_line(line)
                     index = line_words[(paddr_b - line) // WORD_BYTES]
                     if not is_poisoned(index):
                         break
@@ -153,7 +158,9 @@ class LimaUnit:
                     name=f"maple{maple.instance_id}.lima.fetch",
                 )
             else:
-                paddr_a = yield from maple.mmu.translate(target)
+                paddr_a = maple.mmu.lookup(target)
+                if paddr_a is None:
+                    paddr_a = yield from maple.mmu.translate_miss(target)
                 mem_port.post("l2_prefetch", paddr_a)
             maple.stats.bump("lima_elements")
         self.active -= 1

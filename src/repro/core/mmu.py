@@ -58,13 +58,18 @@ class MapleMmu:
         self.tlb.invalidate_page(vaddr)
         self._stats.bump("shootdowns")
 
-    def translate(self, vaddr: int):
-        """Generator: vaddr -> paddr with TLB/walk/fault-retry timing."""
+    def lookup(self, vaddr: int) -> Optional[int]:
+        """The TLB half of a translation, synchronous: the paddr on a hit,
+        ``None`` on a miss (both counted); the caller then yields from
+        :meth:`translate_miss`.  A TLB hit costs no time."""
         if self.root_paddr is None:
             raise RuntimeError(f"{self.name}: translate before SET_ROOT")
         hit = self.tlb.translate(vaddr)
-        if hit is not None:
-            return hit[0]
+        return hit[0] if hit is not None else None
+
+    def translate_miss(self, vaddr: int):
+        """Generator: vaddr -> paddr after a TLB miss :meth:`lookup`
+        already counted — the walk, with fault/retry timing."""
         # Loop, not retry-once: under injected eviction the page can be
         # unmapped again mid-retry; the interrupt/resolve path simply
         # fires again, exactly as the driver would re-trap (§3.5).

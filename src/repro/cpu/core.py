@@ -14,7 +14,11 @@ page-table walker's PTE reads — leaves the core through a single
 touches :class:`~repro.mem.hierarchy.MemorySystem` directly: uncacheable
 (MMIO) checks and L1 peeks are zero-time port probes, functional store
 data is a port post, and every timed access is a port transaction, so one
-telemetry tap sees the core's whole memory-side behavior.
+telemetry tap sees the core's whole memory-side behavior.  Loads, stores
+and PTE reads call the seam's lowered handlers (see :mod:`repro.sim.port`):
+while the seam is unarmed they run the same probes and transaction on the
+same tap in one frame below the core's own; armed, they are the port
+calls themselves.
 """
 
 from __future__ import annotations
@@ -71,18 +75,14 @@ class Core:
         # Spawn names, built once (stores/prefetches spawn per instruction).
         self._stb_name = f"core{core_id}.stb"
         self._prefetch_name = f"core{core_id}.prefetch"
+        # The seam's lowered load and store (see repro.sim.port).
+        self._mem_load = mem_port.lowered("load")
+        self._mem_store = mem_port.lowered("store")
         os.register_tlb(self.tlb)
 
     def run(self, thread: Thread):
         """Spawn the thread on this core; returns the sim Process handle."""
         return self._sim.spawn(self._execute(thread), name=f"core{self.core_id}.{thread.name}")
-
-    def l1_line_state(self, paddr: int):
-        """MESI state of this core's L1 line covering ``paddr`` (a
-        zero-time port probe; INVALID when absent).  Coherence tests and
-        audits read tag-array truth through this official seam instead
-        of reaching into the memory system."""
-        return self._mem_port.probe("l1_state", paddr)
 
     # -- execution loop ------------------------------------------------------
 
@@ -90,10 +90,14 @@ class Core:
         # Loads, ALU ops and stores — nearly every instruction a slice
         # issues — dispatch inline on their exact class, with no
         # per-instruction generator; everything else goes to _perform.
+        # A TLB-hit load on the unarmed seam runs the seam's lowered load
+        # directly in this frame's chain (see _load).
         send = thread.program.send
         aspace = thread.aspace
         instructions = self._c_instructions
         alu_ops = self._c_alu_ops
+        sim = self._sim
+        load_latency = self._h_load_latency
         to_send = None
         while True:
             try:
@@ -103,7 +107,9 @@ class Core:
             kind = inst.__class__
             if kind is Load:
                 instructions.value += 1
-                to_send = yield from self._do_load(inst.vaddr, aspace)
+                start = sim._now
+                to_send = yield from self._load(inst.vaddr, aspace)
+                load_latency.add(sim._now - start)
             elif kind is Alu:
                 instructions.value += 1
                 alu_ops.value += 1
@@ -156,7 +162,10 @@ class Core:
             yield inst.cycles
             return None
         if isinstance(inst, Load):
-            return (yield from self._do_load(inst.vaddr, aspace))
+            start = self._sim._now
+            value = yield from self._load(inst.vaddr, aspace)
+            self._h_load_latency.add(self._sim._now - start)
+            return value
         if isinstance(inst, Store):
             return (yield from self._do_store(inst.vaddr, inst.value, aspace))
         if isinstance(inst, Prefetch):
@@ -177,30 +186,21 @@ class Core:
             return None
         raise TypeError(f"core {self.core_id}: unknown instruction {inst!r}")
 
-    def _do_load(self, vaddr: int, aspace: AddressSpace):
+    def _load(self, vaddr: int, aspace: AddressSpace):
+        """The generator of one load: the seam's lowered load (probes,
+        MSHR, transaction and L1 access in one frame while the seam is
+        unarmed).  TLB-hit translations are synchronous, so only a miss
+        pays for a generator of the core's own (the walk, then the
+        access)."""
         self._c_loads.value += 1
-        sim = self._sim
-        start = sim._now
-        # TLB-hit translations are synchronous: resolve inline and only
-        # pay for a generator on the miss/walk path.
         hit = self.tlb.translate(vaddr)
-        paddr = (hit[0] if hit is not None
-                 else (yield from self._translate_miss(aspace, vaddr)))
-        port = self._mem_port
-        if (not port.probe("is_uncacheable", paddr)
-                and not port.probe("l1_would_hit", paddr)):
-            # A demand miss takes an MSHR — and waits if software
-            # prefetches already occupy them (the blocking-cache effect).
-            if not self._mshrs.try_acquire():
-                yield from self._mshrs.acquire()
-            try:
-                value = yield from port.request("load", paddr)
-            finally:
-                self._mshrs.release()
-        else:
-            value = yield from port.request("load", paddr)
-        self._h_load_latency.add(sim._now - start)
-        return value
+        if hit is None:
+            return self._walk_then_load(vaddr, aspace)
+        return self._mem_load(hit[0], self._mshrs)
+
+    def _walk_then_load(self, vaddr: int, aspace: AddressSpace):
+        paddr = yield from self._translate_miss(aspace, vaddr)
+        return (yield from self._mem_load(paddr, self._mshrs))
 
     def _do_store(self, vaddr: int, value, aspace: AddressSpace):
         """One store, plain or fenced — the single retire path."""
@@ -212,7 +212,7 @@ class Core:
         if port.probe("is_uncacheable", paddr):
             # MMIO stores (MAPLE produces) are synchronous: the store
             # retires only once the device acknowledges it (§3.6).
-            yield from port.request("store", (paddr, value, True))
+            yield from self._mem_store(paddr, value, True)
             return None
         # Ordinary stores retire into the store buffer: the value is
         # architecturally visible now; cache/coherence work completes
@@ -226,7 +226,7 @@ class Core:
 
     def _drain_store(self, paddr: int, value):
         try:
-            yield from self._mem_port.request("store", (paddr, value, False))
+            yield from self._mem_store(paddr, value, False)
         finally:
             self._store_buffer.release()
 

@@ -61,6 +61,7 @@ from repro.sim import (
 )
 from repro.sim.watchdog import write_dump
 from repro.system import Soc
+from repro.system.soc import fit_mesh
 
 #: The compiler plan behind each harness technique (DROPLET is doall plus
 #: the memory-side prefetcher).
@@ -209,8 +210,13 @@ def run_workload(workload_name: str, technique: str, *,
 
     workload = ALL_WORKLOADS[workload_name]()
     base = config or SoCConfig()
-    soc = Soc(base.with_overrides(num_cores=max(threads, base.num_cores)),
-              hop_latency_override=hop_latency_override)
+    cfg = base.with_overrides(num_cores=max(threads, base.num_cores))
+    if fit_mesh(base) is base:
+        # The config seats its own tiles; the cores added here for the
+        # threads are seated here too, on the mesh the Soc would grow
+        # (a config whose own mesh is too small still warns).
+        cfg = fit_mesh(cfg)
+    soc = Soc(cfg, hop_latency_override=hop_latency_override)
     aspace = soc.new_process()
     if dataset is None:
         dataset = workload.default_dataset(scale=scale, seed=seed,

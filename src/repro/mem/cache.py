@@ -66,15 +66,22 @@ class Cache:
 
     def lookup(self, line: int) -> bool:
         """Probe for a line; a hit refreshes its LRU position."""
-        # Single-probe fast path: move_to_end does the presence check.
+        # Single-probe fast path: move_to_end does the presence check
+        # (and _set_for's power-of-two case inlined: one call per probe).
+        mask = self._set_mask
+        entry = (self._sets[(line >> self._line_shift) & mask]
+                 if mask is not None else self._set_for(line))
         try:
-            self._set_for(line).move_to_end(line)
+            entry.move_to_end(line)
             return True
         except KeyError:
             return False
 
     def contains(self, line: int) -> bool:
         """Probe without disturbing LRU state (for assertions/snoops)."""
+        mask = self._set_mask
+        if mask is not None:
+            return line in self._sets[(line >> self._line_shift) & mask]
         return line in self._set_for(line)
 
     def insert(self, line: int,

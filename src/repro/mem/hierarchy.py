@@ -43,12 +43,21 @@ class MMIORegion:
 
     ``handler(op, paddr, value, core_id)`` is a generator completing the
     access with full device timing; its return value answers loads.
+    ``lowered(op, paddr, value, core_id, client, txn)`` is the device's
+    one-frame version of the same access, run by the core seam's lowered
+    load/store: it must also close the core-seam transaction ``txn`` it
+    is handed (``client.end``), and take ``handler``'s path itself while
+    the device's own seam is armed.  A region a core reaches through its
+    seam must have one (the access fails without it); ``handler`` alone
+    serves direct :meth:`MemorySystem.load` / :meth:`~MemorySystem.store`
+    calls and an armed core seam.
     """
 
     start: int
     end: int
     handler: Callable
     name: str = "mmio"
+    lowered: Optional[Callable] = None
 
     def covers(self, paddr: int) -> bool:
         return self.start <= paddr < self.end
@@ -112,8 +121,11 @@ class MemorySystem:
         #: dirty writebacks ride the MEMORY NoC plane as real port
         #: messages through the directory's slice ports.
         self._mem_traffic = config.directory_mem_traffic
-        self._l2_inflight: Dict[int, Signal] = {}
-        self._l1_inflight: Dict[Tuple[int, int], Signal] = {}
+        #: Fills in flight (L2 by line, L1 by (core, line)), each mapped
+        #: to the Signal its merged requests wait on — created by the
+        #: first of them, so a fill nobody merges with allocates none.
+        self._l2_inflight: Dict[int, Optional[Signal]] = {}
+        self._l1_inflight: Dict[Tuple[int, int], Optional[Signal]] = {}
         self._mmio: List[MMIORegion] = []
         self._mmio_floor: Optional[int] = None
         #: Called as listener(line_addr, was_prefetch) after every L2 fill
@@ -209,12 +221,14 @@ class MemorySystem:
                 return self.is_uncacheable(paddr)
             if kind == "l1_would_hit":
                 return self.l1_would_hit(core_id, paddr)
-            if kind == "l1_state":
-                return self.l1s[core_id].state_of(self._line_of(paddr))
             raise ValueError(f"core mem port: unknown probe kind {kind!r}")
 
-        server.bind(handler, posts=posts, probes=probes)
         registry.connect(client, server)
+        server.bind(handler, posts=posts, probes=probes, lowered={
+            "load": self._lower_core_load(client, core_id),
+            "store": self._lower_core_store(client, core_id),
+            "ptw_read": self._lower(client, "ptw_read", self.load_llc),
+        })
         return client
 
     def connect_device_port(self, registry: PortRegistry, name: str,
@@ -243,9 +257,115 @@ class MemorySystem:
                 return None
             raise ValueError(f"device mem port: unknown post kind {kind!r}")
 
-        server.bind(handler, posts=posts)
         registry.connect(client, server)
+        server.bind(handler, posts=posts, lowered={
+            "llc_load": self._lower(client, "llc_load", self.load_llc),
+            "ptw_read": self._lower(client, "ptw_read", self.load_llc),
+            "dram_load": self._lower(client, "dram_load", self.load_dram),
+            "dram_line": self._lower(client, "dram_line",
+                                     self.load_dram_line),
+        })
         return client
+
+    # -- lowered seams (see repro/sim/port.py) --------------------------------
+    #
+    # Each builder returns, for one client port, a plain function that
+    # returns the generator of one access.  The server's work is the
+    # generic handler's own body (``_l1_load``, ``_l1_store``,
+    # ``load_llc``, ``load_dram``, ``load_dram_line``), handed the client
+    # and the transaction opened for it with Port.begin, which the body
+    # closes with Port.end; when begin refuses (an armed seam, no free
+    # credit) the access is ``client.request`` itself, with nothing
+    # counted.
+
+    @staticmethod
+    def _lower(client: Port, kind: str, body: Callable[..., Any]):
+        """``access(payload)``: the generator of one ``kind`` transaction
+        — ``body(payload, client, txn)`` after :meth:`Port.begin`, or the
+        generic request."""
+        begin = client.begin
+        request = client.request
+        server_tap = client.peer.tap
+
+        def access(payload: Any):
+            txn = begin(kind)
+            if txn is None:
+                return request(kind, payload)
+            server_tap.served += 1
+            return body(payload, client, txn)
+
+        return access
+
+    def _lower_core_load(self, client: Port, core_id: int):
+        """``load(paddr, mshrs)``: the generator of the core's whole load
+        after translation — the ``is_uncacheable`` and ``l1_would_hit``
+        probes, then :meth:`_mmio_access` for an MMIO address, else
+        :meth:`_l1_load` with the MSHR (one of the core's ``mshrs``) a
+        would-miss holds.  The probes are counted as :meth:`Port.probe`
+        counts them, and go through it while the core's tap is traced."""
+        tap = client.tap
+        l1 = self.l1s[core_id]
+        mask = self._line_mask
+        l1_load = self._l1_load
+
+        def load(paddr: int, mshrs):
+            if tap.trace is not None:
+                if client.probe("is_uncacheable", paddr):
+                    return client.request("load", paddr)
+                return l1_load(core_id, paddr, client, mshrs,
+                               not client.probe("l1_would_hit", paddr))
+            tap.probes += 1
+            floor = self._mmio_floor
+            if floor is not None and paddr >= floor:
+                region = self._mmio_region(paddr)
+                if region is not None:
+                    return self._mmio_access(client, region, "load", paddr,
+                                             None, core_id, paddr)
+            tap.probes += 1
+            return l1_load(core_id, paddr, client, mshrs,
+                           not l1.contains(paddr & mask))
+
+        return load
+
+    def _lower_core_store(self, client: Port, core_id: int):
+        """``store(paddr, value, apply)``: the generator of one ``store``
+        transaction — :meth:`_mmio_access` for an MMIO address (a MAPLE
+        produce), else :meth:`_l1_store` (a store-buffer drain)."""
+        begin = client.begin
+        server_tap = client.peer.tap
+        l1_store = self._l1_store
+
+        def store(paddr: int, value: Any, apply: bool):
+            floor = self._mmio_floor
+            if floor is not None and paddr >= floor:
+                region = self._mmio_region(paddr)
+                if region is not None:
+                    return self._mmio_access(client, region, "store", paddr,
+                                             value, core_id,
+                                             (paddr, value, apply))
+            txn = begin("store")
+            if txn is None:
+                return client.request("store", (paddr, value, apply))
+            server_tap.served += 1
+            return l1_store(core_id, paddr, value, apply, client, txn)
+
+        return store
+
+    def _mmio_access(self, client: Port, region: MMIORegion, op: str,
+                     paddr: int, value: Any, core_id: int, payload: Any):
+        """The generator of a core's MMIO ``op`` on its seam: the region's
+        lowered access, handed the core-seam transaction opened here to
+        close (so the device's frame sits directly under the core's), or
+        the generic request when :meth:`Port.begin` refuses."""
+        if region.lowered is None:
+            raise RuntimeError(f"MMIO region {region.name} is reached "
+                               "through a core seam but has no lowered "
+                               "access")
+        txn = client.begin(op)
+        if txn is None:
+            return client.request(op, payload)
+        client.peer.tap.served += 1
+        return region.lowered(op, paddr, value, core_id, client, txn)
 
     def debug_state(self) -> Dict[str, Any]:
         """Liveness snapshot: outstanding DRAM transactions and pending
@@ -261,23 +381,56 @@ class MemorySystem:
     # -- core-facing accesses ------------------------------------------------
 
     def load(self, core_id: int, paddr: int):
-        """Generator: a core's (physically-addressed) load. Returns the value."""
+        """The generator of a core's (physically-addressed) load; it
+        returns the value."""
         region = self._mmio_region(paddr)
         if region is not None:
-            value = yield from region.handler("load", paddr, None, core_id)
+            return region.handler("load", paddr, None, core_id)
+        return self._l1_load(core_id, paddr)
+
+    def _l1_load(self, core_id: int, paddr: int,
+                 client: Optional[Port] = None, mshrs=None,
+                 miss: bool = False):
+        """Generator: a cacheable load's L1 access; returns the value.
+
+        The generic ``load`` handler runs it bare.  The core seam's
+        lowered load passes its ``client`` port: a would-``miss`` then
+        first takes one of the core's ``mshrs`` (waiting while software
+        prefetches hold them all: the blocking-cache effect), and the
+        ``load`` transaction is opened (:meth:`Port.begin`) and closed
+        here — or is ``client.request`` when ``begin`` refuses.
+        """
+        if miss and not mshrs.try_acquire():
+            yield from mshrs.acquire()
+        try:
+            txn = None
+            if client is not None:
+                txn = client.begin("load")
+                if txn is None:
+                    return (yield from client.request("load", paddr))
+                client.peer.tap.served += 1
+            try:
+                line = paddr & self._line_mask
+                yield self._l1_latency
+                if self.l1s[core_id].lookup(line):
+                    self._c_l1_hits[core_id].value += 1
+                else:
+                    self._c_l1_misses[core_id].value += 1
+                    yield from self._l1_fill(core_id, line)
+                value = self.mem.read_word(paddr)
+            except BaseException:
+                if txn is not None:
+                    client.end(txn, ok=False)
+                raise
+            if txn is not None:
+                client.end(txn)
             return value
-        line = paddr & self._line_mask
-        l1 = self.l1s[core_id]
-        yield self._l1_latency
-        if l1.lookup(line):
-            self._c_l1_hits[core_id].value += 1
-        else:
-            self._c_l1_misses[core_id].value += 1
-            yield from self._l1_fill_clean(core_id, line)
-        return self.mem.read_word(paddr)
+        finally:
+            if miss:
+                mshrs.release()
 
     def store(self, core_id: int, paddr: int, value: Any, apply: bool = True):
-        """Generator: a core's store (write-allocate, write-back).
+        """The generator of a core's store (write-allocate, write-back).
 
         ``apply=False`` runs the timing/coherence path only — used by the
         store-buffer model, which makes the value architecturally visible
@@ -285,21 +438,34 @@ class MemorySystem:
         """
         region = self._mmio_region(paddr)
         if region is not None:
-            result = yield from region.handler("store", paddr, value, core_id)
-            return result
-        line = paddr & self._line_mask
-        l1 = self.l1s[core_id]
-        yield self._l1_latency
-        if l1.lookup(line):
-            self._c_l1_hits[core_id].value += 1
-        else:
-            self._c_l1_misses[core_id].value += 1
-            yield from self._l1_fill_clean(core_id, line)
-        yield from self._upgrade_for_store(core_id, line)
-        if l1.contains(line):
-            self.book.store(core_id, line)
-        if apply:
-            self.mem.write_word(paddr, value)
+            return region.handler("store", paddr, value, core_id)
+        return self._l1_store(core_id, paddr, value, apply)
+
+    def _l1_store(self, core_id: int, paddr: int, value: Any, apply: bool,
+                  client: Optional[Port] = None, txn: Optional[int] = None):
+        """Generator: a cacheable store's L1, upgrade and coherence work —
+        the generic ``store`` handler's body, and the lowered store's,
+        which passes the ``client`` transaction ``txn`` to close."""
+        try:
+            line = paddr & self._line_mask
+            l1 = self.l1s[core_id]
+            yield self._l1_latency
+            if l1.lookup(line):
+                self._c_l1_hits[core_id].value += 1
+            else:
+                self._c_l1_misses[core_id].value += 1
+                yield from self._l1_fill(core_id, line)
+            yield from self._upgrade_for_store(core_id, line)
+            if l1.contains(line):
+                self.book.store(core_id, line)
+            if apply:
+                self.mem.write_word(paddr, value)
+        except BaseException:
+            if txn is not None:
+                client.end(txn, ok=False)
+            raise
+        if txn is not None:
+            client.end(txn)
         return None
 
     def is_uncacheable(self, paddr: int) -> bool:
@@ -320,7 +486,7 @@ class MemorySystem:
             self._c_l1_hits[core_id].value += 1
         else:
             self._c_l1_misses[core_id].value += 1
-            yield from self._l1_fill_clean(core_id, line)
+            yield from self._l1_fill(core_id, line)
         yield from self._upgrade_for_store(core_id, line)
         old = self.mem.read_word(paddr)
         self.mem.write_word(paddr, op(old))
@@ -337,7 +503,7 @@ class MemorySystem:
         line = self._line_of(paddr)
         self._c_l1_prefetches[core_id].value += 1
         if not self.l1s[core_id].contains(line):
-            yield from self._l1_fill(core_id, line)
+            yield from self._l1_fill(core_id, line, demand=False)
             if line in self._l2_poisoned:
                 self._c_ecc_prefetch_drops.value += 1
                 self._drop_poisoned(line)
@@ -364,7 +530,7 @@ class MemorySystem:
                 if not self.l2.contains(line):
                     self._l2_prefetching.add(line)
                     try:
-                        yield from self._ensure_l2(line)
+                        yield from self._l2_miss(line)
                     finally:
                         self._l2_prefetching.discard(line)
                     if line in self._l2_poisoned:
@@ -378,56 +544,78 @@ class MemorySystem:
 
     # -- device-facing accesses (MAPLE) ---------------------------------------
 
-    def load_llc(self, paddr: int):
-        """Generator: cache-coherent device load through the shared L2.
+    def load_llc(self, paddr: int, client: Optional[Port] = None,
+                 txn: Optional[int] = None):
+        """Generator: cache-coherent device load through the shared L2
+        (also a PTE read); returns the word.
 
         A poisoned fill is scrubbed and re-fetched up to the configured
         budget, then surfaces as a typed :class:`DataIntegrityError`.
+        A lowered read passes the ``client`` transaction ``txn`` to close.
         """
-        line = self._line_of(paddr)
-        for _ in range(self._refetch_limit + 1):
-            yield from self._ensure_l2(line)
-            if line not in self._l2_poisoned:
-                return self.mem.read_word(paddr)
-            self._c_ecc_refetches.value += 1
-            self._drop_poisoned(line)
-        self._poison_exhausted("llc", line)
+        line = paddr & self._line_mask
+        try:
+            for _ in range(self._refetch_limit + 1):
+                if self.l2.lookup(line):
+                    yield self._l2_latency
+                    self._c_l2_hits.value += 1
+                else:
+                    yield from self._l2_miss(line)
+                if line not in self._l2_poisoned:
+                    value = self.mem.read_word(paddr)
+                    break
+                self._c_ecc_refetches.value += 1
+                self._drop_poisoned(line)
+            else:
+                self._poison_exhausted("llc", line)
+        except BaseException:
+            if txn is not None:
+                client.end(txn, ok=False)
+            raise
+        if txn is not None:
+            client.end(txn)
+        return value
 
-    def load_dram(self, paddr: int):
+    def load_dram(self, paddr: int, client: Optional[Port] = None,
+                  txn: Optional[int] = None):
         """Generator: non-coherent device load straight from DRAM.
 
         Returns the word, or a :class:`Poison` marker on an armed-ECC
-        double-bit flip — the device decides whether to re-fetch.
+        double-bit flip — the device decides whether to re-fetch.  A
+        lowered read passes the ``client`` transaction ``txn`` to close.
         """
-        line = self._line_of(paddr)
-        yield from self.dram.access(line)
-        value = self.mem.read_word(paddr)
-        if self.flip is not None:
-            value = self._filter_word(paddr, value)
+        try:
+            yield from self.dram.access(paddr & self._line_mask)
+            value = self.mem.read_word(paddr)
+            if self.flip is not None:
+                value = self._filter_word(paddr, value)
+        except BaseException:
+            if txn is not None:
+                client.end(txn, ok=False)
+            raise
+        if txn is not None:
+            client.end(txn)
         return value
 
-    def load_dram_line(self, line_addr: int):
+    def load_dram_line(self, line_addr: int, client: Optional[Port] = None,
+                       txn: Optional[int] = None):
         """Generator: one full line from DRAM (LIMA's 64 B chunk fetch).
 
         Under an armed-ECC double-bit flip one word of the returned line
-        is a :class:`Poison` marker; without ECC it is silently wrong.
+        is a :class:`Poison` marker; without ECC it is silently wrong.  A
+        lowered read passes the ``client`` transaction ``txn`` to close.
         """
-        yield from self.dram.access(line_addr)
-        words = self.mem.read_line(line_addr, self.config.line_size)
-        if self.flip is not None:
-            fate = self.flip(line_addr)
-            if fate is not None:
-                nflips, leaf, bit = fate
-                index = min(int(leaf * len(words)), len(words) - 1)
-                if not self.ecc_enabled:
-                    self._c_ecc_silent.value += 1
-                    words[index] = corrupt_value(
-                        words[index], (leaf * 7919.0) % 1.0, bit)
-                elif nflips == 1:
-                    self._c_ecc_corrected.value += 1
-                else:
-                    self._c_ecc_poisoned.value += 1
-                    words[index] = Poison(line_addr + index * WORD_BYTES)
+        try:
+            yield from self.dram.access(line_addr)
+            words = self.mem.read_line(line_addr, self.config.line_size)
+            if self.flip is not None:
+                self._flip_line(line_addr, words)
+        except BaseException:
+            if txn is not None:
+                client.end(txn, ok=False)
+            raise
+        if txn is not None:
+            client.end(txn)
         return words
 
     # -- internals ------------------------------------------------------------
@@ -447,6 +635,24 @@ class MemorySystem:
         self._c_ecc_poisoned.value += 1
         return Poison(addr)
 
+    def _flip_line(self, line_addr: int, words: List[Any]) -> None:
+        """Apply the flip fate for one DRAM line read (in place): one word
+        corrupted, corrected or poisoned under the ECC policy."""
+        fate = self.flip(line_addr)
+        if fate is None:
+            return
+        nflips, leaf, bit = fate
+        index = min(int(leaf * len(words)), len(words) - 1)
+        if not self.ecc_enabled:
+            self._c_ecc_silent.value += 1
+            words[index] = corrupt_value(
+                words[index], (leaf * 7919.0) % 1.0, bit)
+        elif nflips == 1:
+            self._c_ecc_corrected.value += 1
+        else:
+            self._c_ecc_poisoned.value += 1
+            words[index] = Poison(line_addr + index * WORD_BYTES)
+
     def _drop_poisoned(self, line: int) -> None:
         """Scrub a poisoned L2 line: invalidate it (recalling L1 copies,
         the inclusive discipline) so the next demand triggers a fresh
@@ -463,56 +669,63 @@ class MemorySystem:
             component=component, kind="dram_poison", addr=line,
             attempts=self._refetch_limit + 1)
 
-    def _l1_fill_clean(self, core_id: int, line: int):
-        """Demand-fill a core's L1, re-fetching past poisoned L2 fills up
-        to the budget, then raising a typed error."""
-        for _ in range(self._refetch_limit + 1):
-            yield from self._l1_fill(core_id, line)
-            if line not in self._l2_poisoned:
+    def _l1_fill(self, core_id: int, line: int, demand: bool = True):
+        """Generator, one frame: fill ``line`` into a core's L1.
+
+        Waits on a fill of the same line already in flight for this core.
+        Otherwise: if another L1 holds the line MODIFIED, pay a forwarding
+        round trip (a real fetch/recall message exchange through the
+        line's home tile with a directory attached, the flat
+        ``l2_latency`` charge without one; the dirty-holder lookup is
+        yield-free); then the L2 (a hit inline, a miss through
+        :meth:`_l2_miss`); then install the line.  A demand fill
+        re-fetches past poisoned L2 fills up to the budget, then raises a
+        typed error; a prefetch fill (``demand=False``) makes one attempt
+        and leaves a poisoned line to its caller.
+        """
+        key = (core_id, line)
+        inflight = self._l1_inflight
+        book = self.book
+        for _ in range(self._refetch_limit + 1 if demand else 1):
+            if key in inflight:
+                pending = inflight[key]
+                if pending is None:
+                    pending = inflight[key] = Signal(self._sim, name="l1fill")
+                yield pending
+            else:
+                inflight[key] = None
+                try:
+                    holder = book.dirty_holder(line, excluding=core_id)
+                    if holder is not None:
+                        if self.directory is not None:
+                            yield from self.directory.fetch(core_id, line)
+                        else:
+                            yield self._l2_latency
+                            # The owner's copy is downgraded to shared-
+                            # clean — unless it was evicted/invalidated
+                            # during the forwarding delay.  Its dirty data
+                            # lands in the shared L2 (the book marks it
+                            # MODIFIED there).
+                            book.downgrade(holder, line)
+                    if self.l2.lookup(line):
+                        yield self._l2_latency
+                        self._c_l2_hits.value += 1
+                    else:
+                        yield from self._l2_miss(line)
+                    victim = book.fill(core_id, line)
+                    if (victim is not None
+                            and victim.state is LineState.MODIFIED):
+                        self._c_l1_writebacks[core_id].value += 1
+                        book.write_back(victim.line)
+                finally:
+                    pending = inflight.pop(key)
+                    if pending is not None:
+                        pending.fire()
+            if not demand or line not in self._l2_poisoned:
                 return
             self._c_ecc_refetches.value += 1
             self._drop_poisoned(line)
         self._poison_exhausted(f"core{core_id}.l1", line)
-
-    def _l1_fill(self, core_id: int, line: int):
-        key = (core_id, line)
-        pending = self._l1_inflight.get(key)
-        if pending is not None:
-            yield pending
-            return
-        signal = Signal(self._sim, name="l1fill")
-        self._l1_inflight[key] = signal
-        try:
-            yield from self._snoop_dirty_elsewhere(core_id, line)
-            yield from self._ensure_l2(line)
-            victim = self.book.fill(core_id, line)
-            if victim is not None and victim.state is LineState.MODIFIED:
-                self._c_l1_writebacks[core_id].value += 1
-                self.book.write_back(victim.line)
-        finally:
-            del self._l1_inflight[key]
-            signal.fire()
-
-    def _snoop_dirty_elsewhere(self, core_id: int, line: int):
-        """If another L1 holds the line MODIFIED, pay a forwarding round
-        trip.
-
-        With a directory attached, the round trip is a real fetch/recall
-        message exchange through the line's home tile; without one it is
-        the legacy flat ``l2_latency`` charge.  The dirty-holder lookup
-        is yield-free, so the directory-off event sequence is unchanged.
-        """
-        holder = self.book.dirty_holder(line, excluding=core_id)
-        if holder is None:
-            return
-        if self.directory is not None:
-            yield from self.directory.fetch(core_id, line)
-            return
-        yield self._l2_latency
-        # The owner's copy is downgraded to shared-clean — unless it was
-        # evicted/invalidated during the forwarding delay.  Its dirty
-        # data lands in the shared L2 (the book marks it MODIFIED there).
-        self.book.downgrade(holder, line)
 
     def _upgrade_for_store(self, core_id: int, line: int):
         """Invalidate other sharers before a store (directory upgrade)."""
@@ -553,18 +766,19 @@ class MemorySystem:
         for other in self.book.sharers_of(line) - {core_id}:
             self.book.invalidate(other, line)
 
-    def _ensure_l2(self, line: int):
-        if self.l2.lookup(line):
-            yield self._l2_latency
-            self._c_l2_hits.value += 1
-            return
-        pending = self._l2_inflight.get(line)
-        if pending is not None:
+    def _l2_miss(self, line: int):
+        """Generator: an L2 miss (the lookup already missed) — wait on
+        the fill in flight for the line, or fetch it from DRAM (through
+        the directory's home slice with memory-plane traffic armed)."""
+        inflight = self._l2_inflight
+        if line in inflight:
             self._c_l2_merged.value += 1
+            pending = inflight[line]
+            if pending is None:
+                pending = inflight[line] = Signal(self._sim, name="l2fill")
             yield pending
             return
-        signal = Signal(self._sim, name="l2fill")
-        self._l2_inflight[line] = signal
+        inflight[line] = None
         try:
             self._c_l2_misses.value += 1
             yield self._l2_latency
@@ -584,8 +798,9 @@ class MemorySystem:
             for listener in self.l2_fill_listeners:
                 listener(line, was_prefetch)
         finally:
-            del self._l2_inflight[line]
-            signal.fire()
+            pending = inflight.pop(line)
+            if pending is not None:
+                pending.fire()
 
     def _fill_flip(self, line: int) -> None:
         """Apply the flip fate for a coherent L2 fill from DRAM.

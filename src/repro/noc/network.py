@@ -99,6 +99,20 @@ class Network:
         yield latency
         return msg
 
+    def traversal(self, plane: Plane):
+        """``traverse(src, dst) -> latency``: count one packet and its
+        hops on ``plane`` and return the one-way mesh latency to charge
+        (a lowered seam charges its link legs through this)."""
+        route = self._route
+        packets_c, hops_c = self._plane_counters[plane]
+
+        def traverse(src: int, dst: int) -> int:
+            latency, hops = route(src, dst)
+            packets_c.value += 1
+            hops_c.value += hops
+            return latency
+        return traverse
+
     def link(self, plane: Plane, pre: int = 0, post: int = 0):
         """A port-link generator function over this network.
 
@@ -108,19 +122,14 @@ class Network:
         ``request_link``/``response_link`` to make this network the
         transport for that seam.
         """
-        # transfer_msg inlined so each leg costs one generator, not two;
-        # the per-plane accounting still happens when the mesh traversal
-        # starts (after the pre segment), exactly as before.
-        route = self._route
-        packets_c, hops_c = self._plane_counters[plane]
+        # The per-plane accounting happens when the mesh traversal
+        # starts (after the pre segment).
+        traverse = self.traversal(plane)
 
         def _link(msg: Message):
             if pre:
                 yield pre
-            latency, hops = route(msg.src, msg.dst)
-            packets_c.value += 1
-            hops_c.value += hops
-            yield latency
+            yield traverse(msg.src, msg.dst)
             if post:
                 yield post
         return _link

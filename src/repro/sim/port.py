@@ -3,7 +3,7 @@
 Every seam in the SoC model — core↔memory hierarchy, core↔MMIO devices
 (MAPLE), device↔memory, page-table walks — is carried by a :class:`Port`
 pair wired through a :class:`PortRegistry`.  A port pair gives every seam
-the same three things:
+the same four things:
 
 - **A typed message protocol.**  Each transaction is a request/response
   :class:`Message` carrying source/destination tile, a payload, and a
@@ -47,6 +47,26 @@ keeps the refactor bit-identical to the pre-port model: the yield
 sequence of a transaction is the links' and the handler's, nothing more.
 The reliable-delivery path adds cycles only for the timeouts and
 retransmissions a *fault* actually caused.
+
+Lowered (fused) transactions.  :meth:`Port.request` is the generic path:
+one generator frame between the requester and the server's handler, a
+:class:`Message` per transaction, and the handler's own frames below it.
+A server also binds (:meth:`~Port.bind`) a *lowered* handler per request
+kind: a function the requester calls instead of :meth:`request` (it
+looks it up once, with :meth:`Port.lowered`).  It returns the generator of the
+access — while the seam is unarmed, one generator that runs the whole
+transaction directly under the requester: the server handler's own body
+with its cache-hit path inline, opened with :meth:`Port.begin` and
+closed with :meth:`Port.end`.  The rule lives in :meth:`Port.begin`, is
+checked at every access and needs no configuration: a seam is *unarmed*
+when it has no ``inject`` hook, no ``channel`` hook and neither side's
+tap is traced, and a credit is free.  Otherwise — an armed seam, a
+contended credit — the access is :meth:`request` itself, with nothing
+counted.  Both paths share one implementation of the bookkeeping
+(:meth:`_open`: txn id, counters, ``outstanding``, the busy index and
+the txn-id set; :meth:`end`: responses or errors and the credit) and
+yield at the same points, so cycles, events, stats and every tap
+counter are identical whichever path a transaction takes.
 """
 
 from __future__ import annotations
@@ -201,10 +221,6 @@ class PortTap:
     def enable_trace(self, limit: int = DEFAULT_TRACE_DEPTH) -> None:
         self.trace = deque(maxlen=limit)
 
-    def count(self, kind: str) -> None:
-        by_kind = self.by_kind
-        by_kind[kind] = by_kind.get(kind, 0) + 1
-
     def snapshot(self) -> Dict[str, Any]:
         """A flat, picklable dump (mirrors Stats.snapshot conventions)."""
         return {
@@ -277,6 +293,8 @@ class Port:
         self._handler: Optional[Callable[[Message], Any]] = None
         self._post_handler: Optional[Callable[[str, Any], Any]] = None
         self._probe_handler: Optional[Callable[[str, Any], Any]] = None
+        #: Lowered handlers by request kind (see the module docstring).
+        self._lowered: Dict[str, Callable[..., Any]] = {}
         self._request_link = None
         self._response_link = None
 
@@ -288,13 +306,21 @@ class Port:
 
     def bind(self, handler: Callable[[Message], Any],
              posts: Optional[Callable[[str, Any], Any]] = None,
-             probes: Optional[Callable[[str, Any], Any]] = None) -> None:
+             probes: Optional[Callable[[str, Any], Any]] = None,
+             lowered: Optional[Dict[str, Callable[..., Any]]] = None
+             ) -> None:
         """Install the service side: ``handler(msg)`` is a generator (or
         returns one) whose return value answers the request; ``posts`` and
-        ``probes`` are synchronous ``f(kind, payload)`` callables."""
+        ``probes`` are synchronous ``f(kind, payload)`` callables.
+        ``lowered`` maps request kinds to functions returning the
+        generator of one access (see the module docstring): a lowered
+        transaction opened and closed with the client's :meth:`begin` /
+        :meth:`end`, or the client's :meth:`request` when :meth:`begin`
+        refuses."""
         self._handler = handler
         self._post_handler = posts
         self._probe_handler = probes
+        self._lowered = dict(lowered or {})
 
     def connect(self, peer: "Port", request_link=None, response_link=None) -> None:
         """Pair this (client) port with ``peer`` (server).
@@ -313,28 +339,94 @@ class Port:
 
     # -- transactions ------------------------------------------------------
 
-    def request(self, kind: str, payload: Any = None,
-                src: Optional[int] = None, dst: Optional[int] = None):
-        """Generator: one request/response transaction with the peer.
+    def lowered(self, kind: str) -> Callable[..., Any]:
+        """The peer's lowered handler for ``kind``.  Callers look it up
+        once, at wiring time; the handler checks the seam's arming itself
+        (:meth:`begin`) at every access.  A kind the peer does not lower
+        is a wiring error."""
+        peer = self.peer
+        handler = None if peer is None else peer._lowered.get(kind)
+        if handler is None:
+            raise RuntimeError(f"port {self.name}: no lowered {kind!r} "
+                               "handler on the peer")
+        return handler
 
-        Blocks (yields) while the channel is at depth; otherwise adds no
-        simulated time beyond the links and the peer's handler.  Returns
-        the handler's return value.
+    def begin(self, kind: str) -> Optional[int]:
+        """Open a lowered transaction of ``kind`` and return its txn id.
+
+        This is the arming rule's one home: it returns ``None`` — with
+        nothing counted — unless the seam is *unarmed* (no ``inject`` or
+        ``channel`` hook, neither side's tap traced) and a credit is
+        free; the caller then takes :meth:`request` instead.  Otherwise
+        it takes the credit and books the transaction with the same
+        :meth:`_open` as :meth:`request`.
         """
         peer = self.peer
-        if peer is None or peer._handler is None:
-            raise RuntimeError(f"port {self.name}: request on an unbound port")
+        if (peer is None or self.inject is not None
+                or self.channel is not None or self.tap.trace is not None
+                or peer.tap.trace is not None):
+            return None
+        credits = self._credits
+        if credits is not None:
+            if credits._waiters or credits._available == 0:
+                return None
+            credits._available -= 1
+        return self._open(kind)
+
+    def _open(self, kind: str) -> int:
+        """The open half of every transaction's bookkeeping, once its
+        credit is held: the next txn id, the request and per-kind
+        counters, the outstanding count, the busy index and the txn-id
+        set.  Returns the txn id."""
         txn = self._next_txn
         self._next_txn = txn + 1
-        msg = Message(kind, self.tile if src is None else src,
-                      peer.tile if dst is None else dst, payload, txn)
         tap = self.tap
         tap.requests += 1
         by_kind = tap.by_kind
         by_kind[kind] = by_kind.get(kind, 0) + 1
-        # Credit check with the semaphore's uncontended path inlined
-        # (request() runs once per transaction; the method calls showed
-        # up in the mix profile).
+        out = self.outstanding
+        self.outstanding = out + 1
+        if not out:
+            self._busy_index.add(self)
+        self.outstanding_txns.add(txn)
+        return txn
+
+    def end(self, txn: int, ok: bool = True) -> None:
+        """The close half: count the response (``ok``) or the error,
+        leave the outstanding count, the busy index and the txn-id set,
+        and free the credit — by direct handoff when a sender waits."""
+        tap = self.tap
+        if ok:
+            tap.responses += 1
+        else:
+            tap.errors += 1
+        out = self.outstanding - 1
+        self.outstanding = out
+        if not out:
+            self._busy_index.discard(self)
+        self.outstanding_txns.discard(txn)
+        credits = self._credits
+        if credits is not None:
+            # Uncontended release inlined; a queued waiter gets the
+            # unit by direct handoff exactly as Semaphore.release.
+            if credits._waiters:
+                credits._waiters.popleft().fire()
+            else:
+                credits._available += 1
+
+    def request(self, kind: str, payload: Any = None,
+                src: Optional[int] = None, dst: Optional[int] = None):
+        """Generator: one request/response transaction with the peer.
+
+        Blocks (yields) while the channel is at depth — such a request
+        is counted, and gets its txn id, once its credit arrives;
+        otherwise adds no simulated time beyond the links and the peer's
+        handler.  Returns the handler's return value.
+        """
+        peer = self.peer
+        if peer is None or peer._handler is None:
+            raise RuntimeError(f"port {self.name}: request on an unbound port")
+        tap = self.tap
         credits = self._credits
         if credits is not None:
             if credits._waiters or credits._available == 0:
@@ -342,11 +434,9 @@ class Port:
                 yield from credits.acquire()
             else:
                 credits._available -= 1
-        out = self.outstanding
-        self.outstanding = out + 1
-        if not out:
-            self._busy_index.add(self)
-        self.outstanding_txns.add(txn)
+        txn = self._open(kind)
+        msg = Message(kind, self.tile if src is None else src,
+                      peer.tile if dst is None else dst, payload, txn)
         trace = tap.trace
         if trace is not None:
             trace.append((self._sim.now, self.name, kind, txn, "req"))
@@ -377,28 +467,15 @@ class Port:
                 result = yield from self._reliable_exchange(peer, msg)
             else:
                 result = yield from self._raw_exchange(peer, msg)
-            if trace is not None:
-                trace.append((self._sim.now, self.name, kind, txn, "done"))
-            tap.responses += 1
-            return result
         except BaseException:
-            tap.errors += 1
             if trace is not None:
                 trace.append((self._sim.now, self.name, kind, txn, "err"))
+            self.end(txn, ok=False)
             raise
-        finally:
-            out = self.outstanding - 1
-            self.outstanding = out
-            if not out:
-                self._busy_index.discard(self)
-            self.outstanding_txns.discard(txn)
-            if credits is not None:
-                # Uncontended release inlined; a queued waiter gets the
-                # unit by direct handoff exactly as Semaphore.release.
-                if credits._waiters:
-                    credits._waiters.popleft().fire()
-                else:
-                    credits._available += 1
+        if trace is not None:
+            trace.append((self._sim.now, self.name, kind, txn, "done"))
+        self.end(txn)
+        return result
 
     # -- faulty-channel delivery ------------------------------------------------
 

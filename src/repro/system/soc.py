@@ -39,6 +39,18 @@ class MeshGrownWarning(UserWarning):
             "set mesh_cols/mesh_rows explicitly to silence this")
 
 
+def fit_mesh(cfg: SoCConfig) -> SoCConfig:
+    """``cfg`` itself when its mesh seats every tile (cores + MAPLEs),
+    else ``cfg`` with the mesh grown to the geometry the :class:`Soc`
+    picks: at least ``ceil(sqrt(tiles))`` columns, then enough rows."""
+    needed = cfg.num_cores + cfg.maple_instances
+    if cfg.mesh_cols * cfg.mesh_rows >= needed:
+        return cfg
+    cols = max(cfg.mesh_cols, math.ceil(math.sqrt(needed)))
+    rows = math.ceil(needed / cols)
+    return cfg.with_overrides(mesh_cols=cols, mesh_rows=rows)
+
+
 def stress_mesh_config(side: int = 16, maple_instances: int = 1,
                        base: Optional[SoCConfig] = None) -> SoCConfig:
     """A ``side`` x ``side`` mesh stress configuration (16x16 = 256 tiles
@@ -157,19 +169,17 @@ class Soc:
 
     @staticmethod
     def _fit_mesh(cfg: SoCConfig) -> SoCConfig:
-        """Grow the mesh if the configured one cannot seat every tile,
-        warning with :class:`MeshGrownWarning` (the simulated geometry is
-        no longer the one the config names)."""
-        needed = cfg.num_cores + cfg.maple_instances
-        if cfg.mesh_cols * cfg.mesh_rows >= needed:
-            return cfg
-        cols = max(cfg.mesh_cols, math.ceil(math.sqrt(needed)))
-        rows = math.ceil(needed / cols)
-        warnings.warn(
-            MeshGrownWarning((cfg.mesh_cols, cfg.mesh_rows), (cols, rows),
-                             needed),
-            stacklevel=3)
-        return cfg.with_overrides(mesh_cols=cols, mesh_rows=rows)
+        """Grow the mesh if the configured one cannot seat every tile
+        (:func:`fit_mesh`), warning with :class:`MeshGrownWarning` (the
+        simulated geometry is no longer the one the config names)."""
+        fitted = fit_mesh(cfg)
+        if fitted is not cfg:
+            warnings.warn(
+                MeshGrownWarning((cfg.mesh_cols, cfg.mesh_rows),
+                                 (fitted.mesh_cols, fitted.mesh_rows),
+                                 cfg.num_cores + cfg.maple_instances),
+                stacklevel=3)
+        return fitted
 
     # -- process / data setup ---------------------------------------------------
 

@@ -42,7 +42,6 @@ class PageTableWalker:
 
     def __init__(self, mem, stats: Optional[ScopedStats] = None,
                  name: str = "ptw"):
-        self._mem = mem
         self._stats = stats
         self.name = name
         #: Walks currently in flight (watchdog dumps report this so a hang
@@ -51,10 +50,9 @@ class PageTableWalker:
         if hasattr(mem, "load_llc"):  # a MemorySystem, used directly
             self._read_pte = mem.load_llc
         else:  # a memory Port: PTE reads are ptw_read transactions
-            self._read_pte = self._read_via_port
-
-    def _read_via_port(self, paddr: int):
-        return self._mem.request("ptw_read", paddr)
+            # The seam's lowered read: a port request itself while the
+            # seam is armed.
+            self._read_pte = mem.lowered("ptw_read")
 
     def walk(self, root_paddr: int, vaddr: int):
         """Generator: translate ``vaddr``; returns (paddr, flags).
@@ -70,7 +68,7 @@ class PageTableWalker:
         try:
             for level, index in enumerate(indices):
                 pte = yield from self._read_pte(table + 8 * index)
-                if is_poisoned(pte):
+                if not isinstance(pte, int) and is_poisoned(pte):
                     # Not a page fault the OS could resolve: a mangled
                     # PTE would translate to the wrong frame, so it must
                     # surface as an integrity error, never a retry-able

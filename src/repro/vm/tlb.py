@@ -12,7 +12,7 @@ from collections import OrderedDict
 from typing import Optional, Tuple
 
 from repro.sim.stats import ScopedStats
-from repro.vm.address import PAGE_SHIFT, page_offset
+from repro.vm.address import PAGE_SHIFT, PAGE_SIZE
 
 
 class Tlb:
@@ -42,7 +42,7 @@ class Tlb:
         if self._c_hits is not None:
             self._c_hits.value += 1
         frame, flags = entry
-        return frame | page_offset(vaddr), flags
+        return frame | (vaddr & (PAGE_SIZE - 1)), flags
 
     def insert(self, vaddr: int, frame_paddr: int, flags: int) -> None:
         vpn = vaddr >> PAGE_SHIFT

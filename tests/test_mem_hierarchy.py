@@ -4,7 +4,8 @@ import pytest
 
 from repro.mem import LineState, MemorySystem, MMIORegion
 from repro.params import SoCConfig
-from repro.sim import Simulator, Stats
+from repro.sim import Semaphore, Simulator, Stats
+from repro.sim.port import PortRegistry
 
 
 def make_system(num_cores=2, **overrides):
@@ -262,6 +263,24 @@ def test_mmio_region_dispatch():
         ("load", (1 << 40) + 8, None, 0),
         ("store", (1 << 40) + 16, 55, 1),
     ]
+
+
+def test_core_seam_needs_a_lowered_mmio_access():
+    """A core reaches MMIO through its seam's lowered load, which needs the
+    region's lowered access: a region with only a handler (enough for the
+    direct calls above) fails loudly there, as does a kind the memory side
+    does not lower."""
+    sim, ms, _ = make_system()
+
+    def handler(op, paddr, value, core_id):
+        yield 1
+
+    ms.register_mmio(MMIORegion(1 << 40, (1 << 40) + 4096, handler, name="dev"))
+    client = ms.connect_core_port(PortRegistry(sim), 0, tile=0)
+    with pytest.raises(RuntimeError, match="MMIO region dev"):
+        client.lowered("load")(1 << 40, Semaphore(sim, 1))
+    with pytest.raises(RuntimeError, match="no lowered 'amo'"):
+        client.lowered("amo")
 
 
 def test_mmio_overlap_rejected():

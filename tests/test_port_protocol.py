@@ -3,8 +3,9 @@
 Pins the three protocol guarantees the seam refactor rides on:
 bounded-depth backpressure (a sender at channel depth yields until a
 response frees a slot), monotonic transaction ids, and well-ordered
-trace events — plus the registry's reset/drain lifecycle and the
-synchronous post/probe paths.
+trace events — plus the registry's reset/drain lifecycle, the
+synchronous post/probe paths and the ``begin``/``end`` entry the
+lowered seams share with ``request``.
 """
 
 import pytest
@@ -135,6 +136,30 @@ def test_depth_one_serializes_transactions():
     # Handler charges 5 cycles; the second sender waits for the first.
     assert ends == [5, 10]
     assert client.tap.stalls == 1
+
+
+def test_begin_opens_only_unarmed_seams_with_a_free_credit():
+    """Port.begin is the lowered paths' entry to the bookkeeping request
+    keeps: it books a transaction exactly as request does, and refuses —
+    counting nothing — at depth, with an injection hook, or traced."""
+    sim = Simulator()
+    registry, client, server = make_pair(sim, depth=1)
+    txn = client.begin("op")
+    assert txn == 0
+    assert (client.outstanding, client.tap.requests) == (1, 1)
+    assert client.tap.by_kind == {"op": 1}
+    assert client.begin("op") is None  # the one credit is held
+    client.end(txn)
+    assert (client.outstanding, client.tap.responses) == (0, 1)
+    registry.drain()
+
+    client.inject = lambda port, msg: 0
+    assert client.begin("op") is None
+    client.inject = None
+    server.tap.enable_trace()
+    assert client.begin("op") is None
+    assert client.tap.requests == 1
+    assert client._next_txn == 1
 
 
 def test_unsaturated_channel_adds_no_cycles():

@@ -149,7 +149,6 @@ def test_slice_golden(cell):
     assert _run_cell(cell, threads=2) == GOLDEN[cell]
 
 
-@pytest.mark.filterwarnings("ignore::repro.system.soc.MeshGrownWarning")
 @pytest.mark.parametrize("cell", sorted(GOLDEN_FOUR_THREADS))
 def test_slice_golden_four_threads(cell):
     assert _run_cell(cell, threads=4) == GOLDEN_FOUR_THREADS[cell]

@@ -5,6 +5,7 @@ import warnings
 import pytest
 
 from repro.cpu import Alu, Thread
+from repro.harness.techniques import run_workload
 from repro.noc import placement_tiles
 from repro.params import SoCConfig
 from repro.system import Soc
@@ -62,6 +63,22 @@ def test_exact_fit_mesh_does_not_warn():
         soc = Soc(SoCConfig(num_cores=2, maple_instances=2,
                             mesh_cols=2, mesh_rows=2))
     assert (soc.config.mesh_cols, soc.config.mesh_rows) == (2, 2)
+
+
+def test_run_workload_seats_the_cores_it_adds_without_warning():
+    """run_workload raises num_cores to the thread count; seating those
+    cores is its own job, not a warning its caller cannot act on."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", MeshGrownWarning)
+        result = run_workload("spmv", "doall", threads=8)
+    cfg = result.soc.config
+    assert (cfg.mesh_cols, cfg.mesh_rows) == (3, 3)
+
+
+def test_run_workload_still_warns_for_a_mesh_too_small_for_its_config():
+    with pytest.warns(MeshGrownWarning):
+        run_workload("spmv", "doall", threads=2,
+                     config=SoCConfig(num_cores=6, maple_instances=1))
 
 
 def test_placement_policy_seats_maples_at_policy_tiles():
