@@ -6,8 +6,8 @@ ratios are machine-independent:
 
 1. **Engine churn** — a synthetic mix of timed yields, zero-delay
    yields, and process turnover with no model code at all.  This
-   isolates the event loop itself (timing-wheel buckets, occupancy
-   bitmap, same-cycle ready deque, inlined generator stepping), where
+   isolates the event loop itself (per-cycle buckets under a heap of
+   due cycles, same-cycle ready deque, inlined generator stepping), where
    the fast path is worth ~5.5-6x; the floor asserts >= 5x.  Both
    engines run interleaved best-of-N, because a single run on a busy
    1-CPU host can read 20-30% slow and turn a real 5.8x into a flaky
@@ -71,7 +71,7 @@ MIX_SCALE = 1 if SMOKE else 2
 #: fast/seed pairs to run; the ratio compares best-of-N on both sides.
 CHURN_PROCS, CHURN_STEPS = (20, 500) if SMOKE else (50, 4000)
 CHURN_ROUNDS = 2 if SMOKE else 5
-#: Timing-wheel engine vs seed engine on pure churn: measured ~5.5-6x
+#: Bucketed engine vs seed engine on pure churn: measured ~5.5-6x
 #: interleaved best-of-5 (see BENCH_simcore.json "engine_churn").
 CHURN_RATIO_FLOOR = 2.0 if SMOKE else 5.0
 

@@ -8,13 +8,13 @@ oldest contract — a seeded run is bit-exact reproducible:
 
 - the **cycle** the run had reached and the engine's event census
   (executed count, every pending record's due time and shape),
-- a **sha256 digest per subsystem** over canonicalized state: timing
-  wheel + overflow heap, PortRegistry (credits, txn counters, busy set,
-  reliable-port telemetry), L1/L2 caches + the :class:`CoherenceBook`,
-  MAPLE queues/LIMA, directory slices, DRAM channels, the backing
-  physical memory (which also holds the page tables, so VM state rides
-  along), per-core and per-MAPLE TLBs, the stats store, and both global
-  RNG streams,
+- a **sha256 digest per subsystem** over canonicalized state: the
+  engine's per-cycle event buckets, PortRegistry (credits, txn
+  counters, busy set, reliable-port telemetry), L1/L2 caches + the
+  :class:`CoherenceBook`, MAPLE queues/LIMA, directory slices, DRAM
+  channels, the backing physical memory (which also holds the page
+  tables, so VM state rides along), per-core and per-MAPLE TLBs, the
+  stats store, and both global RNG streams,
 - the pickled :class:`RunSpec` (when the run came from the orchestrator)
   so a fresh process can rebuild the experiment,
 - a whole-file content digest so torn or bit-flipped checkpoint files
@@ -48,7 +48,7 @@ from typing import Any, Dict, Optional
 
 #: Bump when the payload shape or any digest surface changes: old files
 #: must fail loudly (schema error), never verify against the wrong state.
-CHECKPOINT_SCHEMA = 1
+CHECKPOINT_SCHEMA = 2
 CHECKPOINT_KIND = "repro-soc-checkpoint"
 
 
@@ -157,32 +157,20 @@ def digest_of(value: Any) -> str:
 
 
 def engine_state(sim) -> Dict[str, Any]:
-    """The timing-wheel engine's full pending-event census.
+    """The engine's full pending-event census.
 
-    Wheel buckets are keyed by ``time & mask``; since the clock only
-    advances to the minimum pending time, the slot's absolute due time
-    is recoverable as the first cycle after ``now`` that maps to it.
+    ``pending`` lists ``[due, records]`` per future cycle in due order,
+    each bucket's records in the insertion order they will run in.
     """
-    now = sim._now
-    mask = sim._mask
-    pending = []
-    for slot in range(sim._wheel_size):
-        bucket = sim._wheel[slot]
-        if bucket:
-            due = now + 1 + ((slot - (now + 1)) & mask)
-            pending.append(["wheel", due, [_canon(rec) for rec in bucket]])
-    for time, seq, rec in sorted(sim._queue, key=lambda e: (e[0], e[1])):
-        pending.append(["heap", time, seq, _canon(rec)])
-    pending.sort(key=lambda entry: (entry[1], entry[0]))
+    buckets = sim._buckets
     return {
-        "now": now,
-        "seq": sim._seq,
-        "wheel_size": sim._wheel_size,
+        "now": sim._now,
         "live_processes": sim._live_processes,
         "events_executed": sim.events_executed,
         "utility_ticks": sim.utility_ticks,
         "ready": [_canon(rec) for rec in sim._ready],
-        "pending": pending,
+        "pending": [[due, [_canon(rec) for rec in buckets[due]]]
+                    for due in sorted(buckets)],
         "engine": type(sim).__name__,
     }
 

@@ -16,37 +16,23 @@ so a broken model fails loudly instead of silently dropping events.
 
 Hot-path design (the engine executes millions of events per figure):
 
-- Future events live in a **timing wheel**: a power-of-two ring of
-  per-cycle buckets indexed by ``target_time & mask``.  Enqueue and
-  dequeue are O(1) list appends — no heap comparisons, no per-event
-  sequence numbers.  Because the clock only ever advances to the
-  *minimum* pending time, every occupied bucket holds exactly one
-  timestamp, so bucket order == insertion order == the global
-  ``(time, seq)`` order the seed engine defines.
-- Bucket occupancy is a single big-int **bitmap**; finding the next
-  pending cycle is one shift plus one lowest-set-bit extraction instead
-  of a ring scan.
-- Delays beyond the wheel horizon overflow into a small ``heapq``
-  fallback carrying explicit sequence numbers.  At any timestamp every
-  heap record was enqueued strictly before every wheel record for that
-  timestamp (a record only reaches the heap because its delay exceeded
-  the horizon, and the horizon never shrinks), so draining heap-then-
-  bucket reproduces the seed engine's tie-break exactly.
-- The wheel is sized adaptively: when overflow traffic shows the
-  observed delay distribution outgrowing the horizon, the wheel doubles
-  (up to a cap) at the next moment it is empty, so no redistribution is
-  ever needed.
+- Future events live in **per-cycle buckets** keyed by absolute due
+  cycle, with a heap of the distinct due cycles beside them.  Enqueue
+  is a dict lookup and a list append; only the first record for a
+  cycle pays a ``heappush``.  Advancing the clock is one ``heappop``
+  plus one batch move of that cycle's bucket into the ready deque.
+  There is no horizon: a 2-cycle L1 hit and a 100k-cycle watchdog tick
+  take the same path.
+- A bucket holds every record due at its cycle in insertion order, and
+  delay-0 work goes to the ready deque (it is always created *while
+  executing* an event at the current cycle, so it sequences after every
+  record already due then).  Execution order is therefore exactly the
+  seed engine's ``(time, seq)`` order, with no sequence numbers.
 - Event records are **polymorphic, allocation-free in the common case**:
   a bare :class:`Process` means "step this generator, sending ``None``"
   (every ``yield <int>`` resume and every spawn), a bare callable is a
   :meth:`Simulator.schedule` callback, and only a resume that carries a
   value (signal fires, join results) costs a ``(proc, payload)`` tuple.
-- Same-cycle work (``spawn``, ``_resume``, ``yield 0``) bypasses the
-  wheel entirely through a FIFO *ready* deque.  Events due at a
-  timestamp are batch-drained into the same deque, which preserves the
-  global (time, seq) execution order: delay-0 events are always created
-  *while executing* an event at the current cycle, so they sequence
-  after every already-queued event of that cycle.
 - The generator step (send / StopIteration / dispatch-on-yield) is
   inlined into :meth:`Simulator.run` with the dominant ``yield <int>``
   case handled in-loop; only non-int yields take the out-of-line
@@ -66,19 +52,6 @@ import time as _walltime
 from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Optional
-
-#: Initial wheel span in cycles (one bucket per cycle).  Covers every
-#: latency parameter in the stock SoC configs (DRAM ~300) with room.
-_WHEEL_SIZE = 1024
-#: Adaptive growth cap.  Delays beyond this always take the heap.
-_WHEEL_MAX = 8192
-#: Heap inserts that *would* have fit a bigger wheel before we grow.
-_GROW_AFTER = 64
-
-#: Precomputed per-slot masks so the hot path never re-materialises
-#: ``1 << slot`` / ``~(1 << slot)`` big-ints.
-_BIT = [1 << s for s in range(_WHEEL_MAX)]
-_NBIT = [~(1 << s) for s in range(_WHEEL_MAX)]
 
 
 class SimulationError(RuntimeError):
@@ -128,34 +101,20 @@ class Simulator:
     """Cycle-accurate event loop.
 
     Time is an integer cycle count.  All scheduling is deterministic:
-    events at the same cycle run in insertion order (the wheel buckets
-    preserve it structurally; the overflow heap carries explicit sequence
-    numbers), so simulations are exactly reproducible.
+    events at the same cycle run in insertion order (each cycle's bucket
+    preserves it), so simulations are exactly reproducible.
     """
 
     def __init__(self) -> None:
         self._now = 0
-        #: Tie-break counter for the overflow heap only; wheel buckets
-        #: need none because insertion order is execution order.
-        self._seq = 0
-        #: Far-future overflow: ``(time, seq, record)`` heap entries for
-        #: delays beyond the wheel horizon.  ``seq`` is unique, so the
-        #: heap never compares records.
-        self._queue: list = []
+        #: Future records by due cycle; each bucket is in insertion order.
+        self._buckets: dict = {}
+        #: Heap of the distinct due cycles, one entry per bucket.
+        self._times: list = []
         #: Current-cycle records in execution order.  A record is a bare
         #: :class:`Process` (send ``None``), a ``(proc, payload)`` tuple
         #: (send ``payload``), or a bare callable (invoke).
         self._ready: deque = deque()
-        #: The timing wheel: ``_wheel[t & _mask]`` is the bucket for cycle
-        #: ``t``; ``_occ`` has bit ``s`` set iff bucket ``s`` is non-empty.
-        self._wheel: list = [[] for _ in range(_WHEEL_SIZE)]
-        self._wheel_size = _WHEEL_SIZE
-        self._mask = _WHEEL_SIZE - 1
-        self._occ = 0
-        #: Observed-delay feedback for adaptive sizing: count and max of
-        #: heap inserts that a ``_WHEEL_MAX`` wheel would have absorbed.
-        self._far_fits = 0
-        self._far_max = 0
         self._live_processes = 0
         #: Cumulative events executed / wall-clock seconds spent inside
         #: :meth:`run` — the raw material for the simcore perf harness.
@@ -179,16 +138,13 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Events queued (wheel + overflow heap + same-cycle deque).
+        """Events queued (future buckets + same-cycle deque).
         Zero with live processes remaining means every one of them is
         blocked on a handshake that can never fire — the deadlock
-        signature the watchdog reports on.  The wheel population is
+        signature the watchdog reports on.  The bucket population is
         summed lazily; callers are diagnostic (watchdog ticks), not the
         per-event hot path."""
-        count = len(self._queue) + len(self._ready)
-        if self._occ:
-            count += sum(map(len, self._wheel))
-        return count
+        return len(self._ready) + sum(map(len, self._buckets.values()))
 
     @property
     def model_events(self) -> int:
@@ -199,21 +155,20 @@ class Simulator:
         return self.pending_events - self.utility_ticks
 
     def schedule(self, delay: int, callback: Callable[[], None]) -> None:
-        """Run ``callback`` after ``delay`` cycles (0 = later this cycle)."""
+        """Run ``callback`` after ``delay`` cycles (0 = later this cycle).
+
+        :meth:`_dispatch` queues process resumes through here too, so a
+        record is a callback or a bare :class:`Process`."""
         if delay:
             if delay < 0:
                 raise SimulationError(f"cannot schedule into the past (delay={delay})")
-            if delay <= self._wheel_size:
-                slot = (self._now + delay) & self._mask
-                self._wheel[slot].append(callback)
-                self._occ |= _BIT[slot]
+            due = self._now + delay
+            bucket = self._buckets.get(due)
+            if bucket is None:
+                self._buckets[due] = [callback]
+                heappush(self._times, due)
             else:
-                heappush(self._queue, (self._now + delay, self._seq, callback))
-                self._seq += 1
-                if delay <= _WHEEL_MAX:
-                    self._far_fits += 1
-                    if delay > self._far_max:
-                        self._far_max = delay
+                bucket.append(callback)
         else:
             self._ready.append(callback)
 
@@ -230,24 +185,19 @@ class Simulator:
         Stops when the queue is empty or when simulated time would pass
         ``until``.  Returns the final simulation time; when ``until`` is given the
         clock always ends at ``until``, whether or not the queue drained
-        before reaching it.
+        before reaching it.  An ``until`` before :attr:`now` is an error:
+        the clock never runs backwards.
         """
-        queue = self._queue
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"run(until={until}) is before the current cycle {self._now}")
+        buckets = self._buckets
+        times = self._times
         ready = self._ready
-        wheel = self._wheel
-        mask = self._mask
-        size = self._wheel_size
         popleft = ready.popleft
         append = ready.append
         now = self._now
         events = 0
-        # Occupancy bits set by the inline wheel inserts below are
-        # accumulated locally and merged when the cycle drains — bits
-        # only ever get *added* during a cycle (schedule/_dispatch OR
-        # their own bits straight into ``_occ``), so the merge is safe,
-        # and the ``finally`` flushes stragglers if a model exception
-        # (or an early ``until`` return) interrupts the batch.
-        occ_add = 0
         start = _walltime.perf_counter()
         try:
             while True:
@@ -270,80 +220,31 @@ class Simulator:
                         proc._finish(stop.value)
                     else:
                         if yielded.__class__ is int:
-                            if 0 < yielded <= size:
-                                # Bit-set only on the empty->occupied edge;
-                                # busy buckets skip the big-int OR entirely.
-                                slot = (now + yielded) & mask
-                                lst = wheel[slot]
-                                if not lst:
-                                    occ_add |= _BIT[slot]
-                                lst.append(proc)
+                            if yielded > 0:
+                                due = now + yielded
+                                bucket = buckets.get(due)
+                                if bucket is None:
+                                    buckets[due] = [proc]
+                                    heappush(times, due)
+                                else:
+                                    bucket.append(proc)
                             elif yielded == 0:
                                 append(proc)
-                            elif yielded > 0:
-                                heappush(queue, (now + yielded, self._seq, proc))
-                                self._seq += 1
-                                if yielded <= _WHEEL_MAX:
-                                    self._far_fits += 1
-                                    if yielded > self._far_max:
-                                        self._far_max = yielded
                             else:
                                 raise SimulationError(
                                     f"cannot schedule into the past "
                                     f"(delay={yielded})")
                         else:
                             self._dispatch(proc, yielded)
-                # This cycle is drained: advance the clock to the next
-                # pending timestamp across the wheel and the overflow heap.
-                occ = self._occ | occ_add
-                occ_add = 0
-                self._occ = occ
-                if not occ:
-                    if self._far_fits >= _GROW_AFTER and size < _WHEEL_MAX:
-                        # The wheel is momentarily empty — the only safe
-                        # point to resize, since nothing needs re-slotting.
-                        size = self._grow()
-                        wheel = self._wheel
-                        mask = self._mask
-                    if not queue:
-                        break
-                    time = queue[0][0]
-                    wheel_due = False
-                else:
-                    start_slot = (now + 1) & mask
-                    hi = occ >> start_slot
-                    if hi:
-                        wt = now + 1 + ((hi & -hi).bit_length() - 1)
-                    else:
-                        wt = (now + 1 + size - start_slot
-                              + ((occ & -occ).bit_length() - 1))
-                    if queue:
-                        ht = queue[0][0]
-                        time = ht if ht <= wt else wt
-                    else:
-                        time = wt
-                    wheel_due = wt == time
-                if until is not None and time > until:
+                # This cycle is drained: advance to the next due cycle.
+                if not times:
+                    break
+                if until is not None and times[0] > until:
                     self._now = until
                     return until
-                self._now = now = time
-                # Heap records drain first: at equal timestamps they were
-                # enqueued strictly earlier than any wheel record (their
-                # delay exceeded the horizon, which never shrinks), so
-                # this order is exactly the seed engine's seq order.
-                while queue and queue[0][0] == time:
-                    append(heappop(queue)[2])
-                if wheel_due:
-                    # Records are copied out and the bucket list is kept
-                    # for reuse — no per-cycle list allocation.
-                    slot = time & mask
-                    lst = wheel[slot]
-                    ready.extend(lst)
-                    lst.clear()
-                    self._occ = occ & _NBIT[slot]
+                self._now = now = heappop(times)
+                ready.extend(buckets.pop(now))
         finally:
-            if occ_add:
-                self._occ |= occ_add
             self.events_executed += events
             self.run_wall_seconds += _walltime.perf_counter() - start
         if until is not None and until > self._now:
@@ -351,25 +252,6 @@ class Simulator:
             # advances to it, matching the early-stop path above.
             self._now = until
         return self._now
-
-    # -- queue plumbing ----------------------------------------------------
-
-    def _grow(self) -> int:
-        """Double the (empty) wheel toward the observed delay ceiling.
-
-        Called only when the wheel is empty, so no record ever needs
-        re-slotting; records already in the overflow heap stay there,
-        which keeps the heap-before-bucket tie-break valid (the horizon
-        only ever grows).
-        """
-        target = 1 << max(self._far_max - 1, 1).bit_length()
-        size = min(_WHEEL_MAX, max(self._wheel_size * 2, target))
-        self._wheel = [[] for _ in range(size)]
-        self._wheel_size = size
-        self._mask = size - 1
-        self._far_fits = 0
-        self._far_max = 0
-        return size
 
     # -- process machinery -------------------------------------------------
 
@@ -380,22 +262,7 @@ class Simulator:
         """Route a yield the inlined step in :meth:`run` does not handle
         (int subclasses such as bool, Signals, joins)."""
         if isinstance(yielded, int):
-            if yielded < 0:
-                raise SimulationError(f"cannot schedule into the past (delay={yielded})")
-            if yielded:
-                if yielded <= self._wheel_size:
-                    slot = (self._now + yielded) & self._mask
-                    self._wheel[slot].append(proc)
-                    self._occ |= _BIT[slot]
-                else:
-                    heappush(self._queue, (self._now + yielded, self._seq, proc))
-                    self._seq += 1
-                    if yielded <= _WHEEL_MAX:
-                        self._far_fits += 1
-                        if yielded > self._far_max:
-                            self._far_max = yielded
-            else:
-                self._ready.append(proc)
+            self.schedule(yielded, proc)
         elif hasattr(yielded, "_add_waiter"):  # Signal-like
             if yielded.fired:
                 self._resume(proc, yielded.value)

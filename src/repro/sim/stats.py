@@ -16,7 +16,7 @@ cold paths and tests.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable
 
 
 class Counter:
@@ -40,21 +40,15 @@ class Counter:
 
 
 class Histogram:
-    """Streaming histogram tracking count / sum / min / max and samples.
+    """Streaming histogram: count / sum / min / max, no per-sample list."""
 
-    Samples are retained (the runs here are small) so tests can assert on
-    distributions; ``keep_samples=False`` switches to summary-only mode.
-    """
+    __slots__ = ("count", "total", "min", "max")
 
-    __slots__ = ("count", "total", "min", "max", "_keep_samples", "samples")
-
-    def __init__(self, keep_samples: bool = True):
+    def __init__(self):
         self.count = 0
         self.total = 0.0
         self.min: float = math.inf
         self.max: float = -math.inf
-        self._keep_samples = keep_samples
-        self.samples: List[float] = []
 
     def add(self, value: float) -> None:
         self.count += 1
@@ -63,8 +57,6 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        if self._keep_samples:
-            self.samples.append(value)
 
     @property
     def mean(self) -> float:

@@ -42,9 +42,12 @@ from repro.sim.checkpoint import (
     CheckpointCorruptError,
     CheckpointDivergenceError,
     CheckpointUnresumableError,
+    CHECKPOINT_SCHEMA,
     capture,
     digest_of,
+    engine_state,
 )
+from repro.sim.watchdog import Watchdog
 from repro.system import Soc
 
 REPO = Path(__file__).resolve().parent.parent
@@ -180,6 +183,36 @@ def test_fig14_roundtrip_is_25_through_mid_trace_checkpoint():
     assert measured_b["cycles"] == 25
 
 
+def test_roundtrip_with_far_future_event_pending_at_capture():
+    """A watchdog tick more than 8,192 cycles out is pending when the
+    checkpoint is taken; the census records it and the resume replays
+    through it bit-identically."""
+    interval = 20_000
+    far = {}
+
+    def run(resume_from=None, hook=None):
+        soc, threads, measured = _fig14_probe_soc()
+        watchdog = Watchdog(soc, check_interval=interval,
+                            stall_window=interval)
+        cycles = soc.run_threads(threads, watchdog=watchdog,
+                                 checkpoint_every=None if hook is None else 200,
+                                 on_checkpoint=hook, resume_from=resume_from)
+        return (cycles, soc.sim.now, soc.sim.events_executed,
+                soc.stats_snapshot(), measured["cycles"], watchdog.ticks)
+
+    def hook(live):
+        if "ckpt" not in far:
+            far["ckpt"] = capture(live, label="far-event")
+            far["due"] = engine_state(live.sim)["pending"][-1][0]
+
+    baseline = run()
+    assert baseline[1] == interval and baseline[5] == 1
+    assert run(hook=hook) == baseline
+    ckpt = far["ckpt"]
+    assert far["due"] == interval and far["due"] - ckpt.cycle > 8_192
+    assert run(resume_from=ckpt) == baseline
+
+
 # -- typed error surface ----------------------------------------------------------
 
 
@@ -226,6 +259,17 @@ def test_corrupt_checkpoint_files_raise_typed(tmp_path):
 
     with pytest.raises(CheckpointCorruptError):        # missing file
         Checkpoint.load(tmp_path / "nope.ckpt.json")
+
+
+def test_older_schema_checkpoint_is_rejected(tmp_path):
+    """A well-formed file from schema 1 (whose engine census had wheel
+    slots and heap sequence numbers) must not load."""
+    assert CHECKPOINT_SCHEMA == 2
+    path = tmp_path / "old.ckpt.json"
+    replace(_small_checkpoint(), schema=1).save(path)
+    assert json.loads(path.read_text())["schema"] == 1
+    with pytest.raises(CheckpointCorruptError, match="schema 1 != 2"):
+        Checkpoint.load(path)
 
 
 def test_spec_less_checkpoint_is_typed_unresumable():

@@ -106,6 +106,7 @@ def test_store_value_visible_immediately_to_other_core():
 def test_prefetch_is_nonblocking_and_counted():
     soc, aspace = build()
     arr = soc.array(aspace, 64, name="a")
+    lat = {}
 
     def program():
         yield Load(arr.addr(63))  # warm the TLB; different line than addr(0)
@@ -114,14 +115,18 @@ def test_prefetch_is_nonblocking_and_counted():
         issue_time = soc.sim.now - start
         assert issue_time < 20  # issue slot only, not the miss
         yield Alu(600)
+        start = soc.sim.now
         yield Load(arr.addr(0))
+        lat["demand"] = soc.sim.now - start
 
     run_program(soc, aspace, program())
     core = soc.cores[0]
     assert core.stats.get("prefetches") == 1
     # The later demand load hit the prefetched line.
+    assert lat["demand"] <= soc.config.l1_latency + 1
     hist = core.stats.histogram("load_latency")
-    assert hist.samples[-1] <= soc.config.l1_latency + 1
+    assert hist.count == 2
+    assert hist.min == lat["demand"]
 
 
 def test_mshr_serializes_demand_behind_prefetch():
@@ -197,14 +202,20 @@ def test_tlb_miss_then_hit_latency_difference():
     soc, aspace = build()
     arr = soc.array(aspace, 8, name="a")
 
+    lat = []
+
     def program():
-        yield Load(arr.addr(0))  # cold: PTW + DRAM
-        yield Load(arr.addr(1))  # TLB + L1 hit
+        for index in (0, 1):  # cold: PTW + DRAM; then TLB + L1 hit
+            start = soc.sim.now
+            yield Load(arr.addr(index))
+            lat.append(soc.sim.now - start)
 
     run_program(soc, aspace, program())
+    cold, warm = lat
+    assert cold > warm
+    assert warm == soc.config.l1_latency
     hist = soc.cores[0].stats.histogram("load_latency")
-    assert hist.samples[0] > hist.samples[1]
-    assert hist.samples[1] == soc.config.l1_latency
+    assert (hist.count, hist.min, hist.max) == (2, warm, cold)
 
 
 def test_unknown_instruction_rejected():

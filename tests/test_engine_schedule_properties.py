@@ -1,17 +1,21 @@
 """Hypothesis property test: randomized schedules on both engines.
 
-The timing-wheel engine (``repro.sim.engine.Simulator``) must be
+The bucketed engine (``repro.sim.engine.Simulator``) must be
 observationally identical to the verbatim seed engine
 (``repro.sim.reference.ReferenceSimulator``) on *any* schedule, not just
 the workload-shaped ones the differential fuzz replays.  Hypothesis
 drives both engines through generated schedule programs that stress the
-structures where the two implementations actually differ:
+places where the two implementations actually differ:
 
-- far-future delays that overflow the initial wheel (heap fallback) and
-  delays past the growth cap;
+- due cycles spread from the next cycle to ~100k cycles out, many of
+  them shared (per-cycle buckets against one ``(time, seq)`` heap);
+- ``schedule`` callbacks and process resumes landing in the same
+  cycle's bucket;
 - delay-0 storms (same-cycle ready-deque recursion);
 - same-cycle spawn/join interleavings (completion vs joiner ordering);
-- signal fan-out (one fire waking many waiters in insertion order).
+- signal fan-out (one fire waking many waiters in insertion order);
+- ``run(until=...)`` in chunks, the path ``checkpoint_every`` and a
+  checkpoint resume take, against one uninterrupted ``run()``.
 
 The observable is a single append-ordered log of every action each
 process performs, tagged with the simulated time it ran at — i.e. the
@@ -29,8 +33,9 @@ from repro.sim.signal import Signal
 
 N_SIGNALS = 3
 
-#: Delay mix: same-cycle storms, small steps, just-past-initial-wheel
-#: (size 1024), past the growth cap (8192), and deep heap-only futures.
+#: Delay mix: same-cycle storms, small steps, and three narrow bands of
+#: far due cycles (about 1k, 8k and 100k out) so that distant events
+#: still share cycles with each other.
 _delays = st.one_of(
     st.just(0),
     st.integers(0, 3),
@@ -41,6 +46,7 @@ _delays = st.one_of(
 
 _leaf_action = st.one_of(
     st.tuples(st.just("delay"), _delays),
+    st.tuples(st.just("callback"), _delays),
     st.tuples(st.just("fire"), st.integers(0, N_SIGNALS - 1)),
     st.tuples(st.just("wait"), st.integers(0, N_SIGNALS - 1)),
 )
@@ -59,7 +65,19 @@ _top_program = st.lists(_top_action, max_size=6)
 _schedule = st.lists(_top_program, min_size=1, max_size=5)
 
 
-def _run_schedule(sim_cls, schedule):
+def _horizon(schedule):
+    """An upper bound on the last event's cycle: every due cycle is a
+    sum of distinct delays along one causal chain."""
+    def delays(program):
+        for action in program:
+            if action[0] in ("delay", "callback"):
+                yield action[1]
+            elif action[0] == "spawn":
+                yield from delays(action[1])
+    return sum(sum(delays(program)) for program in schedule)
+
+
+def _run_schedule(sim_cls, schedule, chunk=None):
     sim = sim_cls()
     signals = [Signal(sim, name=f"sig{i}") for i in range(N_SIGNALS)]
     log = []
@@ -71,6 +89,10 @@ def _run_schedule(sim_cls, schedule):
             if tag == "delay":
                 log.append((name, step, "delay", action[1], sim.now))
                 yield action[1]
+            elif tag == "callback":
+                log.append((name, step, "callback", action[1], sim.now))
+                sim.schedule(action[1], lambda n=name, s=step: log.append(
+                    (n, s, "called", sim.now)))
             elif tag == "fire":
                 sig = signals[action[1]]
                 if not sig.fired:
@@ -96,7 +118,19 @@ def _run_schedule(sim_cls, schedule):
 
     for index, program in enumerate(schedule):
         sim.spawn(interpret(program, f"p{index}"), name=f"p{index}")
-    sim.run()
+    if chunk is None:
+        sim.run()
+    else:
+        # Chunked like a checkpointed run; the step grows with the
+        # horizon so a 100k-cycle schedule takes a few hundred calls.
+        # Each boundary is logged, pinning which events ran before it
+        # (a checkpoint captures the state at exactly that point).
+        horizon = _horizon(schedule)
+        step = max(chunk, horizon // 400)
+        while sim.now < horizon:
+            sim.run(until=min(sim.now + step, horizon))
+            log.append(("until", sim.now))
+        sim.run()
     # Processes left blocked on never-fired signals / never-joined
     # children are part of the observable: both engines must strand the
     # exact same set.
@@ -111,13 +145,26 @@ def test_engines_agree_on_randomized_schedules(schedule):
     assert fast == seed
 
 
+@settings(max_examples=60, deadline=None)
+@given(_schedule, st.integers(1, 20_000))
+def test_engines_agree_when_run_in_until_chunks(schedule, chunk):
+    fast = _run_schedule(Simulator, schedule, chunk)
+    seed = _run_schedule(ReferenceSimulator, schedule, chunk)
+    assert fast == seed
+    # Chunk boundaries are invisible: same events at the same cycles as
+    # one uninterrupted run.
+    whole = _run_schedule(Simulator, schedule)
+    assert [entry for entry in fast[0] if entry[0] != "until"] == whole[0]
+    assert fast[2] == whole[2]
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30)
 def test_engines_agree_on_signal_fanout(seed_value):
     """Dedicated fan-out shape: many same-cycle waiters, one late fire.
 
-    Wakeups must resume waiters in insertion order on both engines even
-    when the firing process sits past the wheel horizon (heap path).
+    Wakeups must resume waiters in insertion order on both engines
+    whether the firing process runs this cycle or ~100k cycles out.
     """
     import random
     rng = random.Random(seed_value)

@@ -162,6 +162,22 @@ def test_run_until_stops_the_clock():
     assert fired
 
 
+def test_run_until_in_the_past_is_rejected():
+    # Regression: run(until=u) with u < now used to rewind the clock to u
+    # while the cycle-50 event stayed queued.
+    sim = Simulator()
+    fired = []
+    sim.schedule(10, lambda: fired.append(sim.now))
+    sim.schedule(50, lambda: fired.append(sim.now))
+    assert sim.run(until=20) == 20
+    with pytest.raises(SimulationError, match="before the current cycle"):
+        sim.run(until=5)
+    assert sim.now == 20
+    assert sim.run(until=20) == 20  # until == now stays legal
+    assert sim.run() == 50
+    assert fired == [10, 50]
+
+
 def test_live_process_accounting():
     sim = Simulator()
 

@@ -24,13 +24,15 @@ def test_histogram_summary():
     assert hist.mean == 20
     assert hist.min == 10
     assert hist.max == 30
-    assert hist.samples == [10, 20, 30]
+    assert hist.total == 60
 
 
 def test_histogram_summary_only_mode():
-    hist = Histogram(keep_samples=False)
+    # A histogram keeps the running summary and no per-sample list.
+    hist = Histogram()
     hist.add(5)
-    assert hist.samples == []
+    assert not hasattr(hist, "samples")
+    assert (hist.count, hist.total, hist.min, hist.max) == (1, 5, 5, 5)
     assert hist.mean == 5
 
 
