@@ -1,4 +1,4 @@
-"""Fig. 12: MAPLE vs DeSC vs DROPLET vs doall (simulator config).
+"""Fig. 12: MAPLE vs DeSC vs DROPLET vs doall (same machine as Fig. 8).
 
 Paper: MAPLE reaches 1.96x geomean over 2-thread doall (up to 3x on
 BFS), 1.72x over DeSC, and 1.82x over DROPLET.  DeSC leads on the

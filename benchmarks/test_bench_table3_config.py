@@ -3,7 +3,7 @@
 from conftest import run_once
 
 from repro.harness.tables import table3, table3_rows
-from repro.params import MOSAIC_CONFIG
+from repro.params import FPGA_CONFIG
 
 
 def test_bench_table3_config(benchmark):
@@ -15,4 +15,5 @@ def test_bench_table3_config(benchmark):
     assert rows["Core Count / Threads per core"] == "2 / 1"
     assert "8KB / 4-way / 2-cycle" in rows["L1D (per core) / Latency"]
     assert "64KB / 8-way / 30-cycle" in rows["L2-size (shared) / Latency"]
-    assert MOSAIC_CONFIG.dram_latency == 300
+    assert rows["DRAM Latency / Max in-flight"] == "300-cycle / 16"
+    assert FPGA_CONFIG.dram_latency == 300

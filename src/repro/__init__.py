@@ -15,8 +15,8 @@ Public API surface:
 See README.md for a quickstart and DESIGN.md for the system inventory.
 """
 
-from repro.params import FPGA_CONFIG, MOSAIC_CONFIG, SoCConfig
+from repro.params import FPGA_CONFIG, SoCConfig
 
 __version__ = "1.0.0"
 
-__all__ = ["FPGA_CONFIG", "MOSAIC_CONFIG", "SoCConfig", "__version__"]
+__all__ = ["FPGA_CONFIG", "SoCConfig", "__version__"]

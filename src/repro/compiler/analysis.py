@@ -84,9 +84,6 @@ class KernelAnalysis:
     access_stalling_loads: Set[int]  # indirect loads Access must do itself
     defs: Dict[str, List[Stmt]] = None  # temp name -> defining statements
 
-    def load_info(self, stmt: LoadStmt) -> LoadInfo:
-        return self.loads[stmt.stmt_id]
-
 
 def analyze(kernel: Kernel) -> KernelAnalysis:
     defs = _collect_defs(kernel)

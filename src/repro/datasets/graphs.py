@@ -42,9 +42,6 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.neighbors)
 
-    def out_degree(self, vertex: int) -> int:
-        return int(self.row_ptr[vertex + 1] - self.row_ptr[vertex])
-
     def neighbors_of(self, vertex: int) -> np.ndarray:
         return self.neighbors[self.row_ptr[vertex]:self.row_ptr[vertex + 1]]
 

@@ -28,7 +28,7 @@ from repro.harness.orchestrator import (
     freeze_dataset_kwargs,
     spec_key,
 )
-from repro.params import FPGA_CONFIG, MOSAIC_CONFIG, SoCConfig
+from repro.params import FPGA_CONFIG, SoCConfig
 from repro.sim.stats import geomean
 
 DEFAULT_APPS = ("sdhp", "spmm", "spmv", "bfs")
@@ -251,7 +251,7 @@ def prefetch_study(scale: int = 1, apps: Sequence[str] = DEFAULT_APPS,
     return Plan(specs, reduce)
 
 
-# -- Fig. 12: prior hardware techniques (MosaicSim config) --------------------------
+# -- Fig. 12: prior hardware techniques (same machine as Fig. 8) -------------------
 
 
 def fig12(scale: int = 1, apps: Sequence[str] = DEFAULT_APPS,
@@ -263,13 +263,15 @@ def fig12(scale: int = 1, apps: Sequence[str] = DEFAULT_APPS,
     DeSC, 1.82x over DROPLET; DeSC leads on the decoupling-friendly
     SPMV/SDHP but loses runahead on BFS; SPMM decouples for nobody.
     Each app's bar is the geomean across its ``datasets`` variants, as in
-    the paper (§5.2).
+    the paper (§5.2).  The paper ran this on MosaicSim (Table 3); here it
+    runs on Fig. 8's machine, so its doall and maple-decouple cells are
+    Fig. 8's and simulate once when both figures are in one batch.
     """
     return _speedup_plan(
         "fig12", "Speedup over 2-thread doall (simulator config)", apps,
         (("maple", "maple-decouple"), ("desc", "desc"),
          ("droplet", "droplet")),
-        config or MOSAIC_CONFIG, scale, datasets)
+        config or FPGA_CONFIG, scale, datasets)
 
 
 # -- Fig. 13: thread scaling sharing one MAPLE ----------------------------------------

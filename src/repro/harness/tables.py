@@ -2,9 +2,9 @@
 
 Table 1 is the prior-work taxonomy (:mod:`repro.core.taxonomy`).
 Tables 2 and 3 are configuration tables: they are rendered from the live
-:class:`~repro.params.SoCConfig` presets so the printed numbers are the
-numbers the simulator actually uses — a drifted constant would show up
-immediately.
+:data:`~repro.params.FPGA_CONFIG` preset, the one machine Figs. 8 and 12
+run on, so the printed numbers are the numbers the simulator actually
+uses — a drifted constant would show up immediately.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.core.taxonomy import render_table1
-from repro.params import FPGA_CONFIG, MOSAIC_CONFIG, SoCConfig
+from repro.params import FPGA_CONFIG, SoCConfig
 
 
 def table1() -> str:
@@ -46,7 +46,7 @@ def table2_rows(config: SoCConfig = FPGA_CONFIG) -> List[Tuple[str, str]]:
     ]
 
 
-def table3_rows(config: SoCConfig = MOSAIC_CONFIG) -> List[Tuple[str, str]]:
+def table3_rows(config: SoCConfig = FPGA_CONFIG) -> List[Tuple[str, str]]:
     """Table 3: the simulated system used against DeSC and DROPLET."""
     return [
         ("Core Count / Threads per core", f"{config.num_cores} / 1"),

@@ -89,16 +89,6 @@ class Network:
         yield latency
         return packet
 
-    def transfer_msg(self, msg: Message, plane: Plane):
-        """Generator: move one port :class:`Message` across the mesh —
-        same cost and per-plane accounting as a :class:`Packet`."""
-        latency, hops = self._route(msg.src, msg.dst)
-        packets_c, hops_c = self._plane_counters[plane]
-        packets_c.value += 1
-        hops_c.value += hops
-        yield latency
-        return msg
-
     def traversal(self, plane: Plane):
         """``traverse(src, dst) -> latency``: count one packet and its
         hops on ``plane`` and return the one-way mesh latency to charge

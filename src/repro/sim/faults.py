@@ -286,12 +286,6 @@ class FaultPlan:
                     or self.port_dups or self.port_corrupts
                     or self.dram_flips or self.queue_flips)
 
-    def has_corruption(self) -> bool:
-        """True when the plan injects data-integrity faults (not just
-        timing/OS noise)."""
-        return bool(self.port_drops or self.port_dups or self.port_corrupts
-                    or self.dram_flips or self.queue_flips)
-
     def stable_dict(self) -> Dict[str, Any]:
         """JSON-able form with deterministic content (cache keys)."""
         return asdict(self)

@@ -7,7 +7,7 @@ every MAPLE reachable through MMIO.  This is the entry point downstream
 users start from (see ``examples/quickstart.py``).
 """
 
-from repro.params import FPGA_CONFIG, MOSAIC_CONFIG, SoCConfig
+from repro.params import FPGA_CONFIG, SoCConfig
 from repro.system.soc import Soc
 
-__all__ = ["FPGA_CONFIG", "MOSAIC_CONFIG", "Soc", "SoCConfig"]
+__all__ = ["FPGA_CONFIG", "Soc", "SoCConfig"]

@@ -16,10 +16,6 @@ ENTRIES_PER_TABLE = 1 << VPN_BITS
 VA_BITS = PAGE_SHIFT + LEVELS * VPN_BITS  # 39
 
 
-def page_number(vaddr: int) -> int:
-    return vaddr >> PAGE_SHIFT
-
-
 def page_base(vaddr: int) -> int:
     return vaddr & ~(PAGE_SIZE - 1)
 

@@ -10,9 +10,12 @@ from repro.harness import HARNESS_TECHNIQUES, run_workload, tables
 from repro.harness.figures import (
     Series,
     area_analysis,
+    fig8,
+    fig12,
     fig14,
     roundtrip_config,
 )
+from repro.harness.orchestrator import spec_key
 from repro.kernels.spmv import SpmvDataset
 from repro.params import FPGA_CONFIG
 
@@ -91,6 +94,14 @@ def test_tables_render():
     assert "MAPLE" in tables.table1()
     assert "8KB 4-way" in tables.table2()
     assert "In-Order" in tables.table3()
+
+
+def test_fig12_shares_fig8_machine_and_cells():
+    # Figs. 8 and 12 run on one machine, so fig12's doall and
+    # maple-decouple cells are fig8's: 12 fig8 cells plus 8 desc/droplet.
+    fig12_specs = fig12().specs
+    assert all(spec.config == FPGA_CONFIG for spec in fig12_specs)
+    assert len({spec_key(s) for s in fig8().specs + fig12_specs}) == 20
 
 
 def test_taxonomy_only_maple_has_all_features():

@@ -25,7 +25,7 @@ from repro.harness.orchestrator import (
     make_orchestrator,
     spec_key,
 )
-from repro.params import FPGA_CONFIG, MOSAIC_CONFIG
+from repro.params import FPGA_CONFIG
 
 #: A cheap mixed bag: shared baselines (dedup), decoupling, prefetching.
 SMALL_SPECS = (
@@ -53,7 +53,8 @@ def test_spec_key_is_stable_and_collision_sensitive():
     assert spec_key(a) != spec_key(
         RunSpec("spmv", "doall", threads=2, config=FPGA_CONFIG))
     assert spec_key(RunSpec("spmv", "doall", config=FPGA_CONFIG)) != spec_key(
-        RunSpec("spmv", "doall", config=MOSAIC_CONFIG))
+        RunSpec("spmv", "doall",
+                config=FPGA_CONFIG.with_overrides(dram_max_inflight=32)))
     assert spec_key(RunSpec("spmv", "doall", config=FPGA_CONFIG)) != spec_key(
         RunSpec("spmv", "doall",
                 config=FPGA_CONFIG.with_overrides(hop_latency=2)))
@@ -67,7 +68,8 @@ def test_config_name_participates_via_stable_dict():
     # sweeps override; sanity-check a couple.
     d = FPGA_CONFIG.stable_dict()
     assert d["scratchpad_bytes"] == 1024 and d["hop_latency"] == 1
-    assert FPGA_CONFIG.stable_hash() != MOSAIC_CONFIG.stable_hash()
+    assert FPGA_CONFIG.stable_hash() != FPGA_CONFIG.with_overrides(
+        dram_max_inflight=32).stable_hash()
     assert FPGA_CONFIG.stable_hash() == FPGA_CONFIG.with_overrides().stable_hash()
 
 

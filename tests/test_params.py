@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.params import FPGA_CONFIG, MOSAIC_CONFIG, SoCConfig
+from repro.params import FPGA_CONFIG, SoCConfig
 
 
 def test_defaults_match_table2():
@@ -47,9 +47,3 @@ def test_validation_rejects_bad_geometry():
         SoCConfig(page_size=100)
     with pytest.raises(ValueError):
         SoCConfig(scratchpad_bytes=1000, maple_num_queues=3)
-
-
-def test_presets_differ_only_where_tables_differ():
-    assert FPGA_CONFIG.l1_size == MOSAIC_CONFIG.l1_size
-    assert FPGA_CONFIG.dram_latency == MOSAIC_CONFIG.dram_latency
-    assert FPGA_CONFIG.name != MOSAIC_CONFIG.name
