@@ -159,11 +159,11 @@ class PrefetchRole(DoallRole):
     overhead ("code bloat") the paper charges this technique with.
     """
 
-    def __init__(self, plan: SlicePlan, distance: int = 8):
+    #: D, in iterations ahead of the demand access.
+    DISTANCE = 4
+
+    def __init__(self, plan: SlicePlan):
         super().__init__(plan)
-        if distance < 1:
-            raise ValueError("prefetch distance must be >= 1")
-        self.distance = distance
         self._chains_by_loop: Dict[int, List[ImaChain]] = {}
         for chain in plan.prefetch_chains:
             self._chains_by_loop.setdefault(chain.loop.stmt_id, []).append(chain)
@@ -171,7 +171,7 @@ class PrefetchRole(DoallRole):
     def on_iteration(self, stmt: ForStmt, index: int, hi: int, env: dict,
                      runtime: Runtime):
         for chain in self._chains_by_loop.get(stmt.stmt_id, ()):
-            ahead = index + self.distance
+            ahead = index + self.DISTANCE
             if ahead >= hi:
                 continue
             shifted = dict(env)

@@ -123,9 +123,8 @@ class Core:
                 to_send = yield from self._perform(inst, aspace)
 
     def _perform(self, inst, aspace: AddressSpace):
-        # Exact-class dispatch for the rarer instruction kinds; anything
-        # unusual (raw simulation waits, isa subclasses) falls through to
-        # the general chain in _perform_slow with unchanged semantics.
+        # Exact-class dispatch for the rarer instruction kinds, then the
+        # raw simulation waits a hardware-model backend blocks a thread on.
         kind = inst.__class__
         if kind is Prefetch:
             self._c_instructions.value += 1
@@ -146,44 +145,12 @@ class Core:
             self._c_syncs.value += 1
             yield from inst.barrier.wait()
             return None
-        return (yield from self._perform_slow(inst, aspace))
-
-    def _perform_slow(self, inst, aspace: AddressSpace):
-        """The original dispatch chain, for everything off the fast path."""
         if isinstance(inst, int) or hasattr(inst, "_add_waiter") or hasattr(inst, "_add_joiner"):
             # A raw simulation wait (delay / Signal / Process join) from a
             # hardware-model backend the thread is blocked on: the core
             # stalls until it resolves. Not an architectural instruction.
             result = yield inst
             return result
-        self._c_instructions.value += 1
-        if isinstance(inst, Alu):
-            self._c_alu_ops.value += 1
-            yield inst.cycles
-            return None
-        if isinstance(inst, Load):
-            start = self._sim._now
-            value = yield from self._load(inst.vaddr, aspace)
-            self._h_load_latency.add(self._sim._now - start)
-            return value
-        if isinstance(inst, Store):
-            return (yield from self._do_store(inst.vaddr, inst.value, aspace))
-        if isinstance(inst, Prefetch):
-            self._c_prefetches.value += 1
-            paddr = yield from self._translate(aspace, inst.vaddr)
-            self._sim.spawn(self._prefetch_through_mshr(paddr),
-                            name=self._prefetch_name)
-            yield 1  # issue slot
-            return None
-        if isinstance(inst, Amo):
-            self._c_amos.value += 1
-            paddr = yield from self._translate(aspace, inst.vaddr)
-            old = yield from self._mem_port.request("amo", (paddr, inst.op))
-            return old
-        if isinstance(inst, Sync):
-            self._c_syncs.value += 1
-            yield from inst.barrier.wait()
-            return None
         raise TypeError(f"core {self.core_id}: unknown instruction {inst!r}")
 
     def _load(self, vaddr: int, aspace: AddressSpace):

@@ -27,9 +27,9 @@ integrity sweep).
   corrupt files go to ``quarantine/``; no orphan worker and no stray
   ``.tmp``/``.lock`` file may remain.
 
-Fault and integrity runs arm the oracle (``check=True``), the queue
-shadows with the quiescence audit, and the liveness watchdog
-(:data:`FUZZ_WATCHDOG`) through one wrapper, :func:`run_armed`.
+Fault and integrity runs arm the queue shadows with the quiescence
+audit and the liveness watchdog (:data:`FUZZ_WATCHDOG`) through one
+wrapper, :func:`run_armed`; the golden-output oracle runs on every cell.
 
 :func:`fuzz_specs` and :func:`integrity_specs` turn the two SoC sweeps
 into orchestrator :class:`RunSpec` cells.  They draw in a different
@@ -84,8 +84,8 @@ KERNELS = ("spmv", "spmv", "spmv", "sdhp", "sdhp", "spmm", "bfs")
 _THREADS = {"maple-decouple": 2, "sw-decouple": 2, "desc": 2,
             "lima": 1, "lima-llc": 1}
 
-#: Plan factory per SoC campaign, keyed by campaign name; the plan rides
-#: into ``run_workload`` as ``<campaign>_plan``.
+#: Plan factory per SoC campaign, keyed by campaign name; either plan
+#: rides into ``run_workload`` as ``fault_plan``.
 PLANS = {"fault": FaultPlan.random, "integrity": FaultPlan.random_integrity}
 
 #: Watchdog parameters for fuzz runs: generous enough that heavy fault
@@ -197,7 +197,6 @@ class FuzzCase:
     dataset: Any
     seed: int
     plan: FaultPlan
-    campaign: str
 
     def describe(self) -> str:
         return (f"case {self.case}: {self.workload}/{self.technique} "
@@ -205,11 +204,10 @@ class FuzzCase:
                 f"faults[{self.plan.describe()}]")
 
     def run_kwargs(self) -> Dict[str, Any]:
-        """``run_workload`` keyword arguments for this case; the plan
-        rides as ``fault_plan`` or ``integrity_plan`` by campaign."""
+        """``run_workload`` keyword arguments for this case."""
         return {"config": self.config, "threads": self.threads,
                 "dataset": self.dataset, "seed": self.seed,
-                f"{self.campaign}_plan": self.plan}
+                "fault_plan": self.plan}
 
 
 def _derive_fuzz(campaign: str, case: int, master_seed: int,
@@ -220,15 +218,14 @@ def _derive_fuzz(campaign: str, case: int, master_seed: int,
     dataset = random_dataset(rng, workload)
     plan = PLANS[campaign](rng.randrange(1 << 30))
     return FuzzCase(case, config, workload, technique, threads, dataset,
-                    rng.randrange(100), plan, campaign)
+                    rng.randrange(100), plan)
 
 
 def run_armed(workload: str, technique: str, **kwargs) -> ExperimentResult:
-    """Run one cell with the golden oracle, the invariants and the fuzz
-    watchdog armed; ``kwargs`` go to ``run_workload`` and override those
-    defaults.  Raises on anything the robustness layer detects."""
-    armed = {"check": True, "check_invariants": True,
-             "watchdog": dict(FUZZ_WATCHDOG)}
+    """Run one cell with the invariants and the fuzz watchdog armed;
+    ``kwargs`` go to ``run_workload`` and override those defaults.
+    Raises on anything the robustness layer or the oracle detects."""
+    armed = {"check_invariants": True, "watchdog": dict(FUZZ_WATCHDOG)}
     return run_workload(workload, technique, **{**armed, **kwargs})
 
 
@@ -292,7 +289,7 @@ def run_negative_control(case: int, master_seed: Optional[int] = None):
     kwargs = fc.run_kwargs()
     kwargs.update(
         config=fc.config.with_overrides(reliable_ports=False, ecc=False),
-        integrity_plan=negative_control_plan(master_seed + case),
+        fault_plan=negative_control_plan(master_seed + case),
         check_invariants=False)
     try:
         result = run_armed(fc.workload, fc.technique, **kwargs)
@@ -317,7 +314,7 @@ def _specs(campaign: str, count: int, master_seed: Optional[int],
         specs.append(RunSpec(
             workload=workload, technique=technique, threads=threads,
             scale=scale, seed=seed, config=config, check_invariants=True,
-            watchdog=True, **{f"{campaign}_plan": plan}))
+            watchdog=True, fault_plan=plan))
     return specs
 
 

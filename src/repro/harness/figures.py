@@ -268,7 +268,7 @@ def fig12(scale: int = 1, apps: Sequence[str] = DEFAULT_APPS,
     Fig. 8's and simulate once when both figures are in one batch.
     """
     return _speedup_plan(
-        "fig12", "Speedup over 2-thread doall (simulator config)", apps,
+        "fig12", "Speedup over 2-thread doall (FPGA config)", apps,
         (("maple", "maple-decouple"), ("desc", "desc"),
          ("droplet", "droplet")),
         config or FPGA_CONFIG, scale, datasets)
@@ -425,7 +425,6 @@ def mesh_scaling_study(scale: int = 1, app: str = "spmv", threads: int = 4,
                        sides: Sequence[int] = MESH_SIDES,
                        placements: Sequence[str] = MESH_PLACEMENTS,
                        maple_instances: int = 4,
-                       directory: bool = False,
                        config: Optional[SoCConfig] = None) -> Plan:
     """Speedup and per-plane NoC utilization vs tile count, with MAPLE
     placement as the sweep axis (ROADMAP item 1: does latency tolerance
@@ -440,10 +439,8 @@ def mesh_scaling_study(scale: int = 1, app: str = "spmv", threads: int = 4,
     planes, from the ``maple-decouple`` cell of each configuration.  The
     plan reduces to the two figures, speedup then utilization.
 
-    Pass ``directory=True`` to route coherence upgrades/transfers over
-    the NoC as real messages (adds directory traffic to the utilization
-    planes; off by default to keep the sweep comparable with the
-    bit-identity baseline).
+    Coherence stays the flat-L2 model of ``config`` (the Table 2 machine
+    by default); :func:`mesh_coherence_study` is the directory-on sweep.
     """
     from repro.system.soc import stress_mesh_config
 
@@ -452,8 +449,7 @@ def mesh_scaling_study(scale: int = 1, app: str = "spmv", threads: int = 4,
     for side in sides:
         for placement in placements:
             cfg = stress_mesh_config(side, maple_instances, base) \
-                .with_overrides(maple_placement=placement,
-                                directory=directory)
+                .with_overrides(maple_placement=placement)
             specs.append(RunSpec(app, "doall", threads=threads, scale=scale,
                                  config=cfg))
             specs.append(RunSpec(app, "maple-decouple", threads=threads,

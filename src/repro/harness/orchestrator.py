@@ -113,10 +113,13 @@ ProgressFn = Callable[[Dict[str, Any]], None]
 class RunSpec:
     """One experiment cell: everything ``run_workload`` needs, picklable.
 
-    ``dataset_kwargs`` is a sorted tuple of ``(key, value)`` pairs (use
-    :func:`freeze_dataset_kwargs`) so specs stay hashable and their JSON
-    form is canonical.  ``config=None`` means the harness default
-    :class:`SoCConfig`.
+    Every field but ``checkpoint_every`` is both a ``run_workload``
+    keyword (:meth:`run_kwargs`) and part of the cell's :func:`spec_key`,
+    so a new field reaches the run and the key with no second list to
+    keep.  ``dataset_kwargs`` is a sorted tuple of ``(key, value)``
+    pairs (use :func:`freeze_dataset_kwargs`) so specs stay hashable and
+    their JSON form is canonical.  ``config=None`` means the harness
+    default :class:`SoCConfig`.
     """
 
     workload: str
@@ -124,18 +127,12 @@ class RunSpec:
     threads: int = 2
     scale: int = 1
     seed: int = 0
-    prefetch_distance: int = 4
-    hop_latency_override: Optional[int] = None
     dataset_kwargs: Tuple[Tuple[str, Any], ...] = ()
-    lima_packed: bool = True
-    check: bool = True
     config: Optional[SoCConfig] = None
     #: Seeded fault plan to install for the run (None = fault free).
+    #: Timing-noise and corruption plans ride here alike; their
+    #: ``stable_dict`` tells them apart in the key.
     fault_plan: Optional[FaultPlan] = None
-    #: Seeded corruption plan (drops/dups/bit flips); mutually exclusive
-    #: with ``fault_plan`` — a separate cell field so corruption sweeps
-    #: never collide with timing-noise sweeps in the cache.
-    integrity_plan: Optional[FaultPlan] = None
     #: Arm live queue shadows + the quiescence audit for this cell.
     check_invariants: bool = False
     #: Arm the liveness watchdog (default parameters) for this cell.
@@ -153,28 +150,21 @@ class RunSpec:
         cfg = self.config.name if self.config is not None else "default"
         fault = (f" faults#{self.fault_plan.seed}"
                  if self.fault_plan is not None else "")
-        integrity = (f" integrity#{self.integrity_plan.seed}"
-                     if self.integrity_plan is not None else "")
         return (f"{self.workload}/{self.technique} x{self.threads} "
-                f"[{cfg}]{extra}{fault}{integrity}")
+                f"[{cfg}]{extra}{fault}")
 
     def run_kwargs(self) -> Dict[str, Any]:
-        """Keyword arguments for ``run_workload`` (minus workload/technique)."""
-        return {
-            "config": self.config,
-            "threads": self.threads,
-            "scale": self.scale,
-            "seed": self.seed,
-            "prefetch_distance": self.prefetch_distance,
-            "hop_latency_override": self.hop_latency_override,
-            "dataset_kwargs": dict(self.dataset_kwargs),
-            "lima_packed": self.lima_packed,
-            "check": self.check,
-            "fault_plan": self.fault_plan,
-            "integrity_plan": self.integrity_plan,
-            "check_invariants": self.check_invariants,
-            "watchdog": self.watchdog,
-        }
+        """Keyword arguments for ``run_workload``: the key fields but
+        workload and technique."""
+        return {name: getattr(self, name) for name in _RUN_FIELDS}
+
+
+#: The cell fields :func:`spec_key` hashes: all but ``checkpoint_every``.
+_KEY_FIELDS = tuple(f.name for f in fields(RunSpec)
+                    if f.name != "checkpoint_every")
+#: The ``run_workload`` keywords a spec carries.
+_RUN_FIELDS = tuple(name for name in _KEY_FIELDS
+                    if name not in ("workload", "technique"))
 
 
 def freeze_dataset_kwargs(kwargs: Optional[dict]) -> Tuple[Tuple[str, Any], ...]:
@@ -185,32 +175,14 @@ def freeze_dataset_kwargs(kwargs: Optional[dict]) -> Tuple[Tuple[str, Any], ...]
 def spec_key(spec: RunSpec) -> str:
     """Stable hex digest identifying a spec across processes and runs.
 
-    Hashes the canonical JSON of every spec field with the config
-    expanded to its full :meth:`SoCConfig.stable_dict` — so any knob
+    Hashes the canonical JSON of every key field, with the config and
+    fault plan expanded to their full ``stable_dict()`` — so any knob
     change (queue depth, cache geometry, hop latency, ...) is a new key.
     """
-    payload = {
-        "schema": CACHE_SCHEMA,
-        "workload": spec.workload,
-        "technique": spec.technique,
-        "threads": spec.threads,
-        "scale": spec.scale,
-        "seed": spec.seed,
-        "prefetch_distance": spec.prefetch_distance,
-        "hop_latency_override": spec.hop_latency_override,
-        "dataset_kwargs": list(list(pair) for pair in spec.dataset_kwargs),
-        "lima_packed": spec.lima_packed,
-        "check": spec.check,
-        "config": (spec.config.stable_dict()
-                   if spec.config is not None else None),
-        "fault_plan": (spec.fault_plan.stable_dict()
-                       if spec.fault_plan is not None else None),
-        "integrity_plan": (spec.integrity_plan.stable_dict()
-                           if spec.integrity_plan is not None else None),
-        "check_invariants": spec.check_invariants,
-        "watchdog": spec.watchdog,
-    }
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    payload = {name: getattr(spec, name) for name in _KEY_FIELDS}
+    payload["schema"] = CACHE_SCHEMA
+    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                       default=lambda value: value.stable_dict())
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
@@ -390,9 +362,7 @@ def _job_error(spec: RunSpec, exc: BaseException, attempt: int) -> JobError:
         message=str(exc),
         traceback=_traceback.format_exc(),
         attempt=attempt,
-        fault_seed=(spec.fault_plan.seed if spec.fault_plan is not None
-                    else spec.integrity_plan.seed
-                    if spec.integrity_plan is not None else None),
+        fault_seed=spec.fault_plan.seed if spec.fault_plan else None,
         worker_pid=os.getpid(),
     )
 
@@ -409,9 +379,7 @@ def _crash_error(spec: RunSpec, attempt: int, exit_code: Optional[int],
                  f"(detection=crash, exit code {exit_code})"),
         traceback="",
         attempt=attempt,
-        fault_seed=(spec.fault_plan.seed if spec.fault_plan is not None
-                    else spec.integrity_plan.seed
-                    if spec.integrity_plan is not None else None),
+        fault_seed=spec.fault_plan.seed if spec.fault_plan else None,
         worker_pid=pid,
         detection="crash",
         exit_code=exit_code,

@@ -145,14 +145,10 @@ def run_workload(workload_name: str, technique: str, *,
                  threads: int = 2,
                  scale: int = 1,
                  seed: int = 0,
-                 prefetch_distance: int = 4,
-                 hop_latency_override: Optional[int] = None,
                  dataset=None,
-                 dataset_kwargs: Optional[dict] = None,
+                 dataset_kwargs=None,
                  lima_packed: bool = True,
-                 check: bool = True,
                  fault_plan: Optional[FaultPlan] = None,
-                 integrity_plan: Optional[FaultPlan] = None,
                  check_invariants: bool = False,
                  watchdog=None,
                  checkpoint_every: Optional[int] = None,
@@ -162,16 +158,21 @@ def run_workload(workload_name: str, technique: str, *,
                  resume_from=None) -> ExperimentResult:
     """Build, run, validate, and return one experiment cell.
 
+    The machine is ``config`` alone (its ``hop_latency`` included); the
+    golden-output oracle always runs on the finished cell.
+    ``dataset_kwargs`` (a dict or ``(key, value)`` pairs) go to the
+    workload's default dataset unless ``dataset`` is given.
+    ``lima_packed=False`` runs LIMA without 4-byte entry packing (the
+    packing ablation).
+
     Robustness knobs (all off by default, leaving the timing path
     bit-identical to a fault-free build):
 
     - ``fault_plan``: a :class:`~repro.sim.faults.FaultPlan` to install
-      for the run; faults replay deterministically from its seed.
-    - ``integrity_plan``: a corruption-bearing :class:`FaultPlan` (drops,
-      duplicates, bit flips).  Separate from ``fault_plan`` so cache keys
-      distinguish timing-noise sweeps from corruption sweeps; mutually
-      exclusive with it.  When the injected corruption is unrecoverable,
-      the run raises a typed
+      for the run; faults replay deterministically from its seed.  A
+      corruption-bearing plan (drops, duplicates, bit flips) rides here
+      too.  When the injected corruption is unrecoverable, the run
+      raises a typed
       :class:`~repro.sim.port.DataIntegrityError` /
       :class:`~repro.sim.port.DeliveryError` annotated with a structured
       diagnosis (and a JSON dump when ``$REPRO_WATCHDOG_DUMP_DIR`` is
@@ -199,11 +200,6 @@ def run_workload(workload_name: str, technique: str, *,
     """
     if technique not in HARNESS_TECHNIQUES:
         raise ValueError(f"unknown technique {technique!r}")
-    if fault_plan is not None and integrity_plan is not None:
-        raise ValueError("fault_plan and integrity_plan are mutually "
-                         "exclusive — compose one FaultPlan instead")
-    if integrity_plan is not None:
-        fault_plan = integrity_plan
     if _PLANS[technique] in _DECOUPLED:
         if threads % 2:
             raise ValueError("decoupling techniques need an even thread count")
@@ -216,16 +212,15 @@ def run_workload(workload_name: str, technique: str, *,
         # threads are seated here too, on the mesh the Soc would grow
         # (a config whose own mesh is too small still warns).
         cfg = fit_mesh(cfg)
-    soc = Soc(cfg, hop_latency_override=hop_latency_override)
+    soc = Soc(cfg)
     aspace = soc.new_process()
     if dataset is None:
         dataset = workload.default_dataset(scale=scale, seed=seed,
-                                           **(dataset_kwargs or {}))
+                                           **dict(dataset_kwargs or ()))
     binding = workload.bind(soc, aspace, dataset)
 
     assignments, fallback = _assignments(soc, aspace, binding, technique,
-                                         threads, prefetch_distance,
-                                         lima_packed)
+                                         threads, lima_packed)
 
     injector = None
     if fault_plan is not None and not fault_plan.is_empty():
@@ -272,8 +267,7 @@ def run_workload(workload_name: str, technique: str, *,
         # functional check reads the arrays.
         injector.finish()
     checked = checker.verify() if checker is not None else None
-    if check:
-        binding.check()
+    binding.check()
     return ExperimentResult(workload_name, technique, threads, cycles, soc,
                             fallback_doall=fallback, fault_plan=fault_plan,
                             fault_events=(len(injector.events)
@@ -320,7 +314,7 @@ class _QueueAllocator:
 
 
 def _assignments(soc: Soc, aspace, binding, technique: str, threads: int,
-                 distance: int, lima_packed: bool):
+                 lima_packed: bool):
     """Decide technique → plan → fallback once, then build the threads.
 
     Returns ``(assignments, fallback_doall)``.  A plan that cannot apply
@@ -339,7 +333,7 @@ def _assignments(soc: Soc, aspace, binding, technique: str, threads: int,
     run_slice = binding.slice_runner(threads)
     assignments = []
     for core, name, open_role, index, count, books in _threads(
-            soc, aspace, plan, threads, distance, lima_packed):
+            soc, aspace, plan, threads, lima_packed):
         program = _program(run_slice, open_role, index, count, books)
         assignments.append((core, Thread(program, aspace, name)))
     return assignments, plan.fallback_doall
@@ -350,8 +344,7 @@ def _program(run_slice, open_role, index: int, count: int, books: bool):
     yield from run_slice(role, index, count, books, end_of_slice)
 
 
-def _threads(soc: Soc, aspace, plan, threads: int, distance: int,
-             lima_packed: bool):
+def _threads(soc: Soc, aspace, plan, threads: int, lima_packed: bool):
     """Yield ``(core, name, open_role, slice index, slice count,
     bookkeeper)`` per thread, in spawn order.
 
@@ -363,7 +356,7 @@ def _threads(soc: Soc, aspace, plan, threads: int, distance: int,
     if plan.fallback_doall or plan.technique not in _DECOUPLED + _LIMA:
         if (plan.technique is Technique.SW_PREFETCH
                 and not plan.fallback_doall):
-            make_role = partial(PrefetchRole, plan, distance)
+            make_role = partial(PrefetchRole, plan)
         else:
             make_role = partial(DoallRole, plan)
         for tid in range(threads):

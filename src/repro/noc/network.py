@@ -23,7 +23,7 @@ is one timed wait charged on the transaction paying it.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.noc.mesh import Mesh
 from repro.noc.packet import Packet
@@ -43,19 +43,15 @@ class Plane(enum.Enum):
 class Network:
     """Latency/statistics model over a :class:`Mesh`."""
 
-    def __init__(self, sim: Simulator, mesh: Mesh, config: SoCConfig, stats: Stats,
-                 hop_latency_override: Optional[int] = None):
+    def __init__(self, sim: Simulator, mesh: Mesh, config: SoCConfig, stats: Stats):
         self._sim = sim
         self.mesh = mesh
         self.config = config
         self._stats = stats
-        self._hop_latency = (
-            config.hop_latency if hop_latency_override is None else hop_latency_override
-        )
         # (src, dst) -> (one-way latency, hops).  The cache is strictly
         # per-Network: a Fig. 15 sweep builds one Network per sweep point,
-        # each binding its own hop latency, so entries can never leak
-        # between hop_latency_override values.
+        # each from its own config's hop latency, so entries can never
+        # leak between sweep points.
         self._route_cache: Dict[Tuple[int, int], Tuple[int, int]] = {}
         self._plane_counters = {
             plane: (stats.counter(f"noc.{plane.name.lower()}.packets"),
@@ -70,7 +66,7 @@ class Network:
             hops = self.mesh.hops(src_tile, dst_tile)
             route = self._route_cache[key] = (
                 self.config.noc_encode_latency
-                + hops * self._hop_latency
+                + hops * self.config.hop_latency
                 + self.config.noc_decode_latency,
                 hops,
             )

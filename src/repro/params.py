@@ -29,7 +29,6 @@ class SoCConfig:
 
     # Cores (Table 2: RISCV64 Ariane, 6-stage in-order, 1 thread/core).
     num_cores: int = 2
-    issue_width: int = 1
 
     # Caches. Latencies are load-to-use costs in cycles.
     line_size: int = 64
@@ -91,11 +90,9 @@ class SoCConfig:
     # DRAM reads and scratchpad slots (correct single-bit flips, poison
     # double-bit flips); ``poison_refetch_limit`` bounds how many times a
     # consumer re-fetches a poisoned line before raising a typed
-    # DataIntegrityError.
+    # DataIntegrityError.  Retry timeout, retry count and backoff are
+    # :class:`~repro.sim.port.Port`'s own defaults.
     reliable_ports: bool = False
-    port_retry_timeout: int = 64
-    port_max_retries: int = 8
-    port_retry_backoff: int = 4
     ecc: bool = True
     poison_refetch_limit: int = 3
 

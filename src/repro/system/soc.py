@@ -94,8 +94,7 @@ class Soc:
     round trip lands at the paper's ~25 cycles (Fig. 14).
     """
 
-    def __init__(self, config: Optional[SoCConfig] = None,
-                 hop_latency_override: Optional[int] = None):
+    def __init__(self, config: Optional[SoCConfig] = None):
         self.config = config or SoCConfig()
         cfg = self._fit_mesh(self.config)
         self.config = cfg
@@ -105,16 +104,11 @@ class Soc:
         #: registry — connect at build time, reset()/drain() around runs.
         self.ports = PortRegistry(self.sim)
         if cfg.reliable_ports:
-            self.ports.configure_reliability(
-                reliable=True,
-                retry_timeout=cfg.port_retry_timeout,
-                max_retries=cfg.port_max_retries,
-                retry_backoff=cfg.port_retry_backoff)
+            self.ports.configure_reliability(reliable=True)
         self.memsys = MemorySystem(self.sim, cfg, self.stats)
         self.os = SimOS(self.sim, self.memsys, cfg)
         self.mesh = Mesh(cfg.mesh_cols, cfg.mesh_rows)
-        self.network = Network(self.sim, self.mesh, cfg, self.stats,
-                               hop_latency_override=hop_latency_override)
+        self.network = Network(self.sim, self.mesh, cfg, self.stats)
 
         # Tile geometry.  ``legacy`` (the bit-identity baseline) packs
         # cores at 0..num_cores-1 and MAPLEs right after, row-major; the

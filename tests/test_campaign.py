@@ -56,34 +56,34 @@ def _fingerprint(campaign: str, case: int):
 
 GOLDEN = {
     "fault/0": ("sdhp", "maple-decouple", 2, 43, "faultfuzz-776578904",
-                "40da5bda7885a0eb", 341913731, "f3ec936c0aabd00f",
+                "8126a63b513534da", 341913731, "f3ec936c0aabd00f",
                 "e8072c90d064fc40"),
     "fault/1": ("spmv", "maple-decouple", 2, 85, "faultfuzz-289665609",
-                "da7cf775450a8015", 597212426, "315cc2e8bd6070ca",
+                "051536693e5b0fc2", 597212426, "315cc2e8bd6070ca",
                 "c96c69755c42c300"),
     "fault/17": ("spmm", "sw-prefetch", 1, 64, "faultfuzz-75047289",
-                 "a8f9790ec9c2e8a1", 685640729, "70a98ab2dee89b6c",
+                 "7d674d72f92de906", 685640729, "70a98ab2dee89b6c",
                  "2b3930bbcb0aebab"),
     "fault/120": ("sdhp", "maple-decouple", 2, 14, "faultfuzz-672557972",
-                  "9b2304b8e1bf5234", 918491891, "9acc9b2f1b0b8b9e",
+                  "be8db27a0a9e99d8", 918491891, "9acc9b2f1b0b8b9e",
                   "db63dc3b8a7c8ac3"),
     "fault/239": ("sdhp", "sw-decouple", 2, 71, "faultfuzz-752874500",
-                  "11b716622a966d32", 76122350, "ea58c329150546a1",
+                  "8f77338a23f89a11", 76122350, "ea58c329150546a1",
                   "458a18987d2b8d2f"),
     "integrity/0": ("bfs", "maple-decouple", 2, 27,
-                    "integrityfuzz-677325012", "622a24f1fcafc501",
+                    "integrityfuzz-677325012", "b54b460ef16c3a72",
                     495660705, "a8df6d5c26521168", "39731bad8096c8b8"),
     "integrity/3": ("sdhp", "maple-decouple", 2, 67,
-                    "integrityfuzz-449139711", "3ac7f76936853f4d",
+                    "integrityfuzz-449139711", "335c3d906cff135b",
                     1053426823, "6a57d173f41d6c0e", "f1bd948b8004adca"),
     "integrity/16": ("sdhp", "maple-decouple", 2, 17,
-                     "integrityfuzz-701976244", "4d94cc0cd1a73072",
+                     "integrityfuzz-701976244", "746aec7642e0a9b2",
                      621802675, "d8a7b4eafabd9cf6", "604cea3be7b36388"),
     "integrity/40": ("sdhp", "maple-decouple", 2, 33,
-                     "integrityfuzz-272436116", "c6ffb6a8094595c5",
+                     "integrityfuzz-272436116", "37a8ddedaed510d7",
                      987080409, "74b3ce6427367769", "73846fcacd8bfb92"),
     "integrity/199": ("spmv", "maple-decouple", 2, 78,
-                      "integrityfuzz-588191610", "881a93cfc24c369c",
+                      "integrityfuzz-588191610", "2f09a080c696530d",
                       667402980, "ecca696b113887ea", "a00165ce35c6355f"),
     "chaos/0": ("worker-kill-resume", "spmv/maple-decouple x2 [default]",
                 15000, 2),
@@ -97,16 +97,16 @@ GOLDEN = {
 #: ``spec_key`` of ``fuzz_specs(4)`` / ``integrity_specs(4)``.
 SPEC_KEYS = {
     "fault": [
-        "b82fdbcbfff6642a71ec940636874871947ab17391e5a92a04a24ba7d40d3da7",
-        "4741f35877fc387f4e5a58bd3fd029c4e906080672804d8f02ed885290319a2c",
-        "ed899acd8f0ae75137bdfb942a14c95fe395d057787ca5d442792b70092f6489",
-        "2cd592cfbdce68f1eade1669d422e2c6c820900c5c72dc122e3da80230169919",
+        "96ad34ed0e09459034bdf42cb0667f3ba6757a469ab83c3941caa3f38a0f97db",
+        "44b4710f8547cf8a0531b5a4446149fcd47bbb0a1759e3d4c874ab0405a33033",
+        "cc0479d69bbc73d66d997cfc1eb1b6c073c442e9b936bb46811189394a1a010b",
+        "fbdf5fe1e87595210fb4383bd10ae2d065208d90fd8821985f98080a2dbcfad3",
     ],
     "integrity": [
-        "b3756306ee3797fa5bdd283b4555d384895a7dcff9855ae8cd7177eacbee24ab",
-        "c8cc06e2aefbdf6db4918f2152ba743daf5ac8ef7dad3d73ced7e702d9f379e5",
-        "3deb50d522f9955570feb4e7a76d91b8f130487cd3fedf5abcbc06bb3e81e3e9",
-        "e7881f8eb2638757f099285f07f900bbdd441b3572fcf3b86d2a26c8696f8bb1",
+        "ee88af9c41245f05645a721f1ef8d75270023da2ba547acc01f69fc5af59b942",
+        "f4590d3357a4600edcff8d65cbeae7a2fbc675dde04590010e76e5f7d06bf592",
+        "c35cdcd9f3b9c54a54e5ef3b35f93dd187ba8b82ce48ff0e18b991b192aa1cfa",
+        "40973cf57d60a3b25d0f0c2c38fbb9516dd993e6f5607cb9c02a9658c07a3388",
     ],
 }
 

@@ -37,6 +37,7 @@ except ImportError:  # run with the tests dir itself on sys.path
 
 from repro.harness.orchestrator import RunSpec, execute_spec, spec_key
 from repro.harness.techniques import run_workload
+from repro.params import SoCConfig
 from repro.sim.checkpoint import (
     Checkpoint,
     CheckpointCorruptError,
@@ -72,8 +73,7 @@ def _triple(result):
 def run_uninterrupted(case: int):
     config, workload, technique, threads, dataset, seed = case_args(case)
     return _triple(run_workload(workload, technique, config=config,
-                                threads=threads, dataset=dataset, seed=seed,
-                                check=True))
+                                threads=threads, dataset=dataset, seed=seed))
 
 
 # Child script for the fresh-process leg: re-derives the case from its
@@ -87,7 +87,7 @@ case = int(sys.argv[1])
 ckpt = Checkpoint.load(sys.argv[2])
 config, workload, technique, threads, dataset, seed = case_args(case)
 r = run_workload(workload, technique, config=config, threads=threads,
-                 dataset=dataset, seed=seed, check=True, resume_from=ckpt)
+                 dataset=dataset, seed=seed, resume_from=ckpt)
 print(json.dumps({"cycles": r.cycles,
                   "events": r.soc.sim.events_executed,
                   "stats": digest_of(r.soc.stats_snapshot())}))
@@ -111,7 +111,7 @@ def test_checkpoint_roundtrip_bit_identity(case, tmp_path):
 
     checkpointed = run_workload(
         workload, technique, config=config, threads=threads, dataset=dataset,
-        seed=seed, check=True, checkpoint_every=every,
+        seed=seed, checkpoint_every=every,
         checkpoint_path=str(tmp_path / "run.ckpt.json"), on_checkpoint=hook)
     assert _triple(checkpointed) == baseline, \
         f"checkpointing perturbed case {case}"
@@ -123,7 +123,7 @@ def test_checkpoint_roundtrip_bit_identity(case, tmp_path):
     # process, fresh Soc.
     resumed = run_workload(workload, technique, config=config,
                            threads=threads, dataset=dataset, seed=seed,
-                           check=True, resume_from=ckpt)
+                           resume_from=ckpt)
     assert _triple(resumed) == baseline, f"resume diverged in case {case}"
 
     # Leg 3 (subset): resume in a fresh Python process from the file.
@@ -287,15 +287,16 @@ def test_divergent_replay_raises_typed_and_names_subsystems(tmp_path):
     def hook(path, ckpt):
         saved.setdefault("first", ckpt)
 
-    baseline = run_workload("spmv", "maple-decouple", threads=2, check=True,
+    baseline = run_workload("spmv", "maple-decouple", threads=2,
                             checkpoint_every=10_000,
                             checkpoint_path=str(tmp_path / "c.ckpt.json"),
                             on_checkpoint=hook)
     assert baseline.cycles > 10_000 and "first" in saved
 
     with pytest.raises(CheckpointDivergenceError) as exc:
-        run_workload("spmv", "maple-decouple", threads=2, check=True,
-                     hop_latency_override=3, resume_from=saved["first"])
+        run_workload("spmv", "maple-decouple", threads=2,
+                     config=SoCConfig().with_overrides(hop_latency=3),
+                     resume_from=saved["first"])
     assert exc.value.mismatched  # at least one subsystem named
     assert "diverges from checkpoint" in str(exc.value)
 

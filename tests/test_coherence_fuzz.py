@@ -155,7 +155,7 @@ def test_coherence_fuzz_case(case):
     else:
         result = run_workload(workload, technique, config=config,
                               threads=threads, dataset=dataset, seed=seed,
-                              check=True, check_invariants=True)
+                              check_invariants=True)
         assert result.invariants_checked is not None, \
             f"case {case}: audit skipped"
         soc = result.soc
@@ -250,7 +250,7 @@ def test_coherence_fuzz_16x16(case):
     x = np.random.default_rng(case).uniform(1.0, 2.0, size=256)
     result = run_workload("spmv", "maple-decouple", config=config,
                           threads=8, dataset=SpmvDataset(matrix, x),
-                          check=True, check_invariants=True)
+                          check_invariants=True)
     refills, _ = _mem_plane_counts(result.soc)
     assert refills > 0
 

@@ -110,17 +110,12 @@ def test_prefetch_role_emits_prefetches_and_stays_correct():
     kernel = gather_kernel()
     plan = plan_for(analyze(kernel), Technique.SW_PREFETCH)
     runtime = Runtime(arrays, {"lo": 0, "hi": 12})
-    role = PrefetchRole(plan, distance=3)
+    role = PrefetchRole(plan)
     soc.run_threads([(0, Thread(interpret(kernel, runtime, role), aspace, "t"))])
     assert arrays["out"].to_list() == expected
-    # distance-3 over 12 iterations -> 9 prefetches (bounds-guarded).
-    assert soc.cores[0].stats.get("prefetches") == 9
-
-
-def test_prefetch_distance_validation():
-    plan = plan_for(analyze(gather_kernel()), Technique.SW_PREFETCH)
-    with pytest.raises(ValueError):
-        PrefetchRole(plan, distance=0)
+    # distance-4 over 12 iterations -> 8 prefetches (bounds-guarded).
+    assert PrefetchRole.DISTANCE == 4
+    assert soc.cores[0].stats.get("prefetches") == 8
 
 
 def test_lima_role_end_to_end():

@@ -5,7 +5,7 @@ Three layers ride every case (see ``repro.harness.campaign``):
 1. a random seeded :class:`FaultPlan` perturbs ports, DRAM, the TLBs,
    and the OS (shootdowns, page eviction, preemption);
 2. numerical results are still checked against the numpy reference
-   (``check=True``) — latency faults must never corrupt data;
+   (``run_workload``'s oracle) — latency faults must never corrupt data;
 3. queue shadows + the quiescence audit + the liveness watchdog are all
    armed — any protocol violation or hang fails loudly, with a
    diagnosis.

@@ -25,7 +25,7 @@ WATCHDOG = {"check_interval": 2000, "stall_window": 100_000,
 
 def test_page_fault_during_lima_resolves_and_stays_correct():
     plan = FaultPlan(seed=11, evict=PageEvictFault(cycles=600))
-    result = run_workload("spmv", "lima", threads=1, seed=3, check=True,
+    result = run_workload("spmv", "lima", threads=1, seed=3,
                           fault_plan=plan, check_invariants=True,
                           watchdog=dict(WATCHDOG))
     snapshot = result.soc.stats_snapshot()
@@ -40,7 +40,7 @@ def test_page_fault_during_lima_resolves_and_stays_correct():
 
 def test_page_fault_during_lima_is_deterministic():
     plan = FaultPlan(seed=11, evict=PageEvictFault(cycles=600))
-    runs = [run_workload("spmv", "lima", threads=1, seed=3, check=True,
+    runs = [run_workload("spmv", "lima", threads=1, seed=3,
                          fault_plan=plan, check_invariants=True,
                          watchdog=dict(WATCHDOG)) for _ in range(2)]
     assert runs[0].cycles == runs[1].cycles
@@ -50,7 +50,7 @@ def test_page_fault_during_lima_is_deterministic():
 def test_tlb_shootdown_during_produce_keeps_queues_coherent():
     plan = FaultPlan(seed=12, shootdown=ShootdownFault(cycles=500))
     result = run_workload("spmv", "maple-decouple", threads=2, seed=3,
-                          check=True, fault_plan=plan,
+                          fault_plan=plan,
                           check_invariants=True, watchdog=dict(WATCHDOG))
     snapshot = result.soc.stats_snapshot()
     # Shootdowns reached the accelerator's TLB (the §3.5 callback path)...
@@ -66,7 +66,7 @@ def test_combined_evict_and_shootdown_under_decoupling():
     plan = FaultPlan(seed=13, evict=PageEvictFault(cycles=900),
                      shootdown=ShootdownFault(cycles=700))
     result = run_workload("sdhp", "maple-decouple", threads=2, seed=5,
-                          check=True, fault_plan=plan,
+                          fault_plan=plan,
                           check_invariants=True, watchdog=dict(WATCHDOG))
     snapshot = result.soc.stats_snapshot()
     assert snapshot["os.evictions"] > 0

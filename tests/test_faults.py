@@ -102,7 +102,7 @@ def test_port_delay_respects_kind_and_port_patterns():
 def test_eviction_swaps_pages_back_in_before_the_check():
     plan = FaultPlan(seed=9, evict=PageEvictFault(cycles=700))
     result = run_workload("spmv", "doall", threads=1, seed=1,
-                          fault_plan=plan, check=True, watchdog=True)
+                          fault_plan=plan, watchdog=True)
     injector = result.soc.fault_injector
     assert any(kind == "evict" for _, kind, _ in injector.events)
     assert any(kind == "restore" for _, kind, _ in injector.events)
@@ -124,7 +124,7 @@ def test_preemption_taxes_the_core():
 def test_shootdowns_invalidate_tlbs_without_corrupting_results():
     plan = FaultPlan(seed=4, shootdown=ShootdownFault(cycles=400))
     result = run_workload("spmv", "maple-decouple", threads=2, seed=1,
-                          fault_plan=plan, check=True, check_invariants=True)
+                          fault_plan=plan, check_invariants=True)
     snapshot = result.soc.stats_snapshot()
     assert snapshot["os.shootdowns"] > 0
     assert any(kind == "shootdown" for _, kind, _ in

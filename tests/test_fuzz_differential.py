@@ -10,7 +10,7 @@ latencies), a random kernel with a small seeded dataset, and a random
 execution technique — then runs it on **both** engines and requires
 bit-identical cycle counts, executed-event totals, and full statistics
 dumps.  Numerical results are additionally validated against the numpy
-reference inside ``run_workload`` (``check=True``).
+reference inside ``run_workload`` (its oracle runs on every cell).
 
 Everything is derived from ``MASTER_SEED``, so a failing case number
 reproduces exactly; datasets are deliberately tiny so the whole sweep
@@ -144,8 +144,7 @@ def random_case(case: int):
 def run_case(case: int):
     config, workload, technique, threads, dataset, seed = random_case(case)
     result = run_workload(workload, technique, config=config,
-                          threads=threads, dataset=dataset, seed=seed,
-                          check=True)
+                          threads=threads, dataset=dataset, seed=seed)
     return (result.cycles, result.soc.sim.events_executed,
             result.soc.stats_snapshot())
 
@@ -175,7 +174,7 @@ def test_fuzz_16x16_smoke_matches_reference(monkeypatch):
         if engine is not None:
             monkeypatch.setattr(soc_module, "Simulator", engine)
         result = run_workload("spmv", "maple-decouple", config=config,
-                              threads=8, dataset=dataset, check=True)
+                              threads=8, dataset=dataset)
         return (result.cycles, result.soc.sim.events_executed,
                 result.soc.stats_snapshot())
 

@@ -64,11 +64,12 @@ def test_lima_needs_enough_queues():
                      dataset=small_spmv())
 
 
-def test_hop_latency_override_slows_mmio():
+def test_config_hop_latency_slows_mmio():
     fast = run_workload("spmv", "maple-decouple", threads=2,
                         dataset=small_spmv())
     slow = run_workload("spmv", "maple-decouple", threads=2,
-                        dataset=small_spmv(), hop_latency_override=40)
+                        dataset=small_spmv(),
+                        config=FPGA_CONFIG.with_overrides(hop_latency=40))
     assert slow.cycles > fast.cycles
 
 

@@ -49,7 +49,7 @@ def run_gather(technique, b_indices, a_values):
     elif technique == "prefetch":
         plan = plan_for(analysis, Technique.SW_PREFETCH)
         threads = [(0, Thread(
-            interpret(kernel, runtime, PrefetchRole(plan, distance=2)),
+            interpret(kernel, runtime, PrefetchRole(plan)),
             aspace, "t"))]
     elif technique == "lima":
         plan = plan_for(analysis, Technique.LIMA_PREFETCH)

@@ -6,9 +6,9 @@ flips), DRAM bit flips, scratchpad slot flips — with the full protection
 stack armed (reliable ports + SECDED ECC).  Exactly two outcomes are
 legal:
 
-1. the run completes, and then the kernel's golden-output oracle
-   (``check=True``) has already passed — corruption was corrected,
-   retransmitted, or re-fetched, never silently consumed;
+1. the run completes, and then the kernel's golden-output oracle (run
+   inside ``run_workload``) has already passed — corruption was
+   corrected, retransmitted, or re-fetched, never silently consumed;
 2. corruption was unrecoverable (a poisoned scratchpad slot whose
    producing pointer is gone, a persistently poisoned line, an exhausted
    retransmit budget) and surfaced as a typed
@@ -23,6 +23,7 @@ address) must catch what the protections were suppressing.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -32,7 +33,7 @@ from repro.harness.campaign import (
     run_case,
     run_negative_control,
 )
-from repro.harness.orchestrator import Orchestrator
+from repro.harness.orchestrator import Orchestrator, spec_key
 from repro.harness.techniques import run_workload
 from repro.params import SoCConfig
 from repro.sim import DataIntegrityError, FaultPlan
@@ -49,7 +50,8 @@ KNOWN_UNRECOVERABLE = (3, 16, 40)
 def test_corrupted_run_passes_oracle_or_fails_typed(case):
     outcome, payload = run_case("integrity", case)
     if outcome == "completed":
-        # check=True already compared against the numpy reference.
+        # run_workload's oracle already compared against the numpy
+        # reference.
         assert payload.cycles > 0
         ports, queues = payload.invariants_checked
         assert ports > 0 and queues > 0
@@ -129,13 +131,6 @@ def test_armed_stack_without_faults_is_cycle_identical():
     assert armed.soc.stats_snapshot() == bare.soc.stats_snapshot()
 
 
-def test_fault_and_integrity_plans_are_mutually_exclusive():
-    with pytest.raises(ValueError, match="mutually exclusive"):
-        run_workload("spmv", "maple-decouple", threads=2,
-                     fault_plan=FaultPlan(seed=1),
-                     integrity_plan=FaultPlan(seed=2))
-
-
 # -- orchestrator integration ----------------------------------------------------
 
 
@@ -157,7 +152,7 @@ def test_unrecoverable_cell_surfaces_with_its_integrity_seed():
     spec = integrity_specs(1)[0]
     with pytest.raises(OrchestratorError) as exc:
         Orchestrator(jobs=1, retries=0).run([spec])
-    assert exc.value.job_error.fault_seed == spec.integrity_plan.seed
+    assert exc.value.job_error.fault_seed == spec.fault_plan.seed
     assert "DataIntegrityError" in exc.value.job_error.exc_type
 
 
@@ -165,6 +160,11 @@ def test_integrity_specs_are_replayable_cells():
     specs = integrity_specs(4)
     again = integrity_specs(4)
     assert specs == again
-    assert all(s.integrity_plan is not None and s.fault_plan is None
+    assert all(s.fault_plan == FaultPlan.random_integrity(s.fault_plan.seed)
                for s in specs)
-    assert all("integrity#" in s.label() for s in specs)
+    assert all(f"faults#{s.fault_plan.seed}" in s.label() for s in specs)
+    # The plan's content keys the cell: the same seed's timing-noise plan
+    # is a different cache entry.
+    for s in specs:
+        timing = replace(s, fault_plan=FaultPlan.random(s.fault_plan.seed))
+        assert spec_key(timing) != spec_key(s)

@@ -41,7 +41,7 @@ def _run_on_side(side: int):
     cfg = stress_mesh_config(side, maple_instances=1)
     return run_workload(_WORKLOAD["workload"], _WORKLOAD["technique"],
                         config=cfg, threads=_WORKLOAD["threads"],
-                        seed=7, check=True)
+                        seed=7)
 
 
 def test_idle_32x32_executes_same_events_as_4x4():
@@ -138,7 +138,7 @@ def test_32x32_multi_maple_sweep_completes():
         cfg = stress_mesh_config(32, maple_instances=4).with_overrides(
             maple_placement=policy)
         result = run_workload("spmv", "maple-decouple", config=cfg,
-                              threads=8, seed=11, check=True)
+                              threads=8, seed=11)
         result.soc.drain()
         assert result.cycles > 0
 

@@ -149,10 +149,10 @@ def test_transfer_charges_latency_and_counts():
     assert stats.get("noc.request.hops") == 2
 
 
-def test_hop_latency_override_for_sensitivity_sweep():
+def test_config_hop_latency_for_sensitivity_sweep():
     sim, net, _ = make_network()
-    cfg = SoCConfig().with_overrides(mesh_cols=2, mesh_rows=2)
-    slow = Network(sim, net.mesh, cfg, Stats(), hop_latency_override=10)
+    cfg = SoCConfig().with_overrides(mesh_cols=2, mesh_rows=2, hop_latency=10)
+    slow = Network(sim, net.mesh, cfg, Stats())
     assert slow.one_way_latency(0, 3) > net.one_way_latency(0, 3)
 
 
@@ -172,28 +172,28 @@ def test_route_memoization_is_consistent_and_per_instance():
     assert other.one_way_latency(0, 3) == first
 
 
-def test_route_cache_never_leaks_across_hop_latency_overrides():
+def test_route_cache_never_leaks_across_hop_latencies():
     # The Fig. 15 sweep builds one Network per hop-latency point over a
     # shared mesh; memoized routes must reflect each Network's own hop
     # latency, never a previously-built sweep point's.
     cfg = SoCConfig().with_overrides(mesh_cols=2, mesh_rows=2)
     mesh = Mesh(2, 2)
     sweep = {
-        override: Network(Simulator(), mesh, cfg, Stats(),
-                          hop_latency_override=override)
-        for override in (1, 4, 16)
+        hop: Network(Simulator(), mesh, cfg.with_overrides(hop_latency=hop),
+                     Stats())
+        for hop in (1, 4, 16)
     }
     # Warm every cache, then re-query in a different order: each Network
-    # must keep answering with its own override.
+    # must keep answering with its own hop latency.
     expected = {
-        override: cfg.noc_encode_latency + 2 * override + cfg.noc_decode_latency
-        for override in sweep
+        hop: cfg.noc_encode_latency + 2 * hop + cfg.noc_decode_latency
+        for hop in sweep
     }
-    for override, net in sweep.items():
-        assert net.one_way_latency(0, 3) == expected[override]
-    for override in (16, 1, 4):
-        assert sweep[override].one_way_latency(0, 3) == expected[override]
-        assert sweep[override].one_way_latency(3, 0) == expected[override]
+    for hop, net in sweep.items():
+        assert net.one_way_latency(0, 3) == expected[hop]
+    for hop in (16, 1, 4):
+        assert sweep[hop].one_way_latency(0, 3) == expected[hop]
+        assert sweep[hop].one_way_latency(3, 0) == expected[hop]
 
 
 def test_planes_tracked_independently():

@@ -62,16 +62,3 @@ def test_one_way_latency_matches_hop_budget(cols, rows, hop, encode, decode):
             assert (network.round_trip_latency(src, dst)
                     == 2 * network.one_way_latency(src, dst))
 
-
-@settings(deadline=None, max_examples=20)
-@given(cols=dims, rows=dims, hop=lats)
-def test_hop_latency_override_wins(cols, rows, hop):
-    config = SoCConfig().with_overrides(mesh_cols=cols, mesh_rows=rows)
-    mesh = Mesh(cols, rows)
-    network = Network(Simulator(), mesh, config, Stats(),
-                      hop_latency_override=hop)
-    for src in range(mesh.size):
-        for dst in range(mesh.size):
-            expected = (config.noc_encode_latency + mesh.hops(src, dst) * hop
-                        + config.noc_decode_latency)
-            assert network.one_way_latency(src, dst) == expected

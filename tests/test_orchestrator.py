@@ -10,6 +10,7 @@ corrupt files, and the structured progress/timing report.
 """
 
 import json
+from dataclasses import fields, replace
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.harness.orchestrator import (
     spec_key,
 )
 from repro.params import FPGA_CONFIG
+from repro.sim import FaultPlan
 
 #: A cheap mixed bag: shared baselines (dedup), decoupling, prefetching.
 SMALL_SPECS = (
@@ -61,6 +63,25 @@ def test_spec_key_is_stable_and_collision_sensitive():
     assert spec_key(a) != spec_key(
         RunSpec("spmv", "doall", threads=2,
                 dataset_kwargs=freeze_dataset_kwargs({"kind": "kronecker"})))
+
+    # Every cell field but checkpoint_every reaches the key: one
+    # perturbation per field, and a new field without one fails here.
+    perturbed = {
+        "workload": "sdhp", "technique": "lima", "threads": 4, "scale": 2,
+        "seed": 1, "dataset_kwargs": (("kind", "kronecker"),),
+        "config": FPGA_CONFIG, "fault_plan": FaultPlan(seed=1),
+        "check_invariants": True, "watchdog": True,
+    }
+    names = {f.name for f in fields(RunSpec)}
+    assert set(perturbed) == names - {"checkpoint_every"}
+    keys = {spec_key(replace(a, **{name: value}))
+            for name, value in perturbed.items()}
+    assert spec_key(a) not in keys and len(keys) == len(perturbed)
+    assert spec_key(replace(a, checkpoint_every=1000)) == spec_key(a)
+    # ... and every field but the cell's name and checkpointing reaches
+    # the run.
+    assert set(a.run_kwargs()) == names - {"workload", "technique",
+                                          "checkpoint_every"}
 
 
 def test_config_name_participates_via_stable_dict():

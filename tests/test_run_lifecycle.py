@@ -30,7 +30,7 @@ def _run_once(**overrides):
     config = SoCConfig(name="lifecycle", num_cores=2).with_overrides(
         **overrides)
     return run_workload("spmv", "maple-decouple", config=config,
-                        threads=2, scale=1, seed=3, check=True,
+                        threads=2, scale=1, seed=3,
                         check_invariants=True)
 
 

@@ -6,6 +6,7 @@ seams, and dumps land where configured (argument, then environment).
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -102,7 +103,7 @@ def test_collect_diagnosis_tolerates_partial_rigs():
 def test_write_dump_explicit_dir(tmp_path):
     path = write_dump({"reason": "stall", "cycle": 99}, str(tmp_path))
     assert path is not None and path.endswith("watchdog-stall-cycle99.json")
-    assert json.loads(open(path).read())["reason"] == "stall"
+    assert json.loads(Path(path).read_text())["reason"] == "stall"
 
 
 def test_write_dump_env_fallback(tmp_path, monkeypatch):
@@ -136,7 +137,7 @@ def test_raise_liveness_names_busy_ports_and_dump(tmp_path):
     err = exc.value
     assert "test.stuck" in str(err)
     assert err.dump_path and err.dump_path in str(err)
-    dumped = json.loads(open(err.dump_path).read())
+    dumped = json.loads(Path(err.dump_path).read_text())
     assert "test.stuck" in dumped["busy_ports"]
     tail = dumped["ports"]["test.stuck"]["trace_tail"]
     assert tail  # per-port trace tail rides along in the dump

@@ -165,7 +165,7 @@ def _replay(args) -> None:
               f"scale={args.scale} {campaign}[{plan.describe()}]")
         workload, technique = args.app, args.technique
         kwargs = {"threads": args.threads, "scale": args.scale,
-                  "seed": args.seed, f"{campaign}_plan": plan}
+                  "seed": args.seed, "fault_plan": plan}
 
     if args.dump_dir:
         kwargs["watchdog"] = {**FUZZ_WATCHDOG, "dump_dir": args.dump_dir}
