@@ -198,16 +198,18 @@ class LimaRole(DoallRole):
     ``mode="llc"``: loads stay coherent; LIMA just warms the LLC.
 
     Chains with a :class:`~repro.compiler.plan.LimaLookahead` recipe are
-    issued ``distance`` outer iterations ahead (the Fig. 4 pattern
+    issued :attr:`DISTANCE` outer iterations ahead (the Fig. 4 pattern
     ``LIMA(A, B, ptr[i+D], ptr[i+1+D])``), so MAPLE's fetches overlap the
     previous rows' computation.
     """
 
+    #: D, in outer iterations ahead of the rows being computed.
+    DISTANCE = 2
+
     def __init__(self, plan: SlicePlan, handles: Dict[int, QueueHandle],
-                 packed: bool = True, distance: int = 2):
+                 packed: bool = True):
         super().__init__(plan)
         self.mode = plan.lima_mode
-        self.distance = distance
         self._handles = handles  # chain's ima_load stmt_id -> QueueHandle
         self._packed = packed and self.mode == "queue"
         self._chains_by_loop: Dict[int, List[ImaChain]] = {}
@@ -241,7 +243,7 @@ class LimaRole(DoallRole):
         for chain in self._lookahead_by_outer.get(stmt.stmt_id, ()):
             sid = chain.ima_load.stmt_id
             info = self.plan.lima_lookahead[sid]
-            while self._next_issue[sid] <= min(index + self.distance, hi - 1):
+            while self._next_issue[sid] <= min(index + self.DISTANCE, hi - 1):
                 future = self._next_issue[sid]
                 shifted = dict(env)
                 shifted[info.outer_loop.var] = future

@@ -59,8 +59,8 @@ def stress_mesh_config(side: int = 16, maple_instances: int = 1,
     This is the scaling testbed for the quiescence contract: components
     are event-driven (nothing polls on ``yield 1``), so a mostly-idle
     large mesh must execute events proportional to *active traffic*, not
-    tile count.  ``benchmarks/test_bench_simcore.py`` runs the same
-    thread count on growing meshes built from this config and asserts
+    tile count.  ``tests/test_large_mesh_scaling.py`` runs the same
+    workload on 4x4 and 32x32 meshes built from this config and asserts
     the event count stays flat.
     """
     cfg = base or SoCConfig()
