@@ -43,7 +43,12 @@ class SwQueueRing:
 
 
 class SwQueueBackend(QueueBackend):
-    """One endpoint of the ring (producer or consumer)."""
+    """One endpoint of the ring (producer or consumer).
+
+    A wait on the other endpoint's published index is one ``isa.Spin``:
+    loads of the index with ``SPIN_BACKOFF_CYCLES`` of backoff between
+    them, until the ring has an item (consume) or a free slot (produce).
+    """
 
     SPIN_BACKOFF_CYCLES = 10
 
@@ -59,10 +64,10 @@ class SwQueueBackend(QueueBackend):
         if not self._is_producer:
             raise RuntimeError("consumer endpoint cannot produce")
         ring = self._ring
-        while self._local - self._cached_remote >= ring.capacity:
-            self._cached_remote = yield isa.Load(ring.head_cell.addr(0))
-            if self._local - self._cached_remote >= ring.capacity:
-                yield isa.Alu(self.SPIN_BACKOFF_CYCLES)
+        if self._local - self._cached_remote >= ring.capacity:
+            self._cached_remote = yield isa.Spin(
+                ring.head_cell.addr(0), self._local - ring.capacity,
+                self.SPIN_BACKOFF_CYCLES)
         yield isa.Store(ring.buffer.addr(self._local % ring.capacity), value)
         self._local += 1
         yield isa.Alu(1)  # index arithmetic
@@ -81,10 +86,9 @@ class SwQueueBackend(QueueBackend):
         if self._is_producer:
             raise RuntimeError("producer endpoint cannot consume")
         ring = self._ring
-        while self._local >= self._cached_remote:
-            self._cached_remote = yield isa.Load(ring.tail_cell.addr(0))
-            if self._local >= self._cached_remote:
-                yield isa.Alu(self.SPIN_BACKOFF_CYCLES)
+        if self._local >= self._cached_remote:
+            self._cached_remote = yield isa.Spin(
+                ring.tail_cell.addr(0), self._local, self.SPIN_BACKOFF_CYCLES)
         value = yield isa.Load(ring.buffer.addr(self._local % ring.capacity))
         self._local += 1
         yield isa.Alu(1)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.cpu.isa import Alu, Amo, Load, Prefetch, Store, Sync
+from repro.cpu.isa import Alu, Amo, Load, Prefetch, Spin, Store, Sync
 from repro.params import SoCConfig
 from repro.sim import Port, Semaphore, Simulator
 from repro.sim.stats import Stats
@@ -87,9 +87,10 @@ class Core:
     # -- execution loop ------------------------------------------------------
 
     def _execute(self, thread: Thread):
-        # Loads, ALU ops and stores — nearly every instruction a slice
-        # issues — dispatch inline on their exact class, with no
-        # per-instruction generator; everything else goes to _perform.
+        # Loads, ALU ops, stores and software polls — nearly every
+        # instruction a slice issues — dispatch inline on their exact
+        # class, with no per-instruction generator; everything else goes
+        # to _perform.
         # A TLB-hit load on the unarmed seam runs the seam's lowered load
         # directly in this frame's chain (see _load).
         send = thread.program.send
@@ -119,6 +120,24 @@ class Core:
                 instructions.value += 1
                 to_send = yield from self._do_store(inst.vaddr, inst.value,
                                                     aspace)
+            elif kind is Spin:
+                # A software poll: each iteration is a Load and, until the
+                # value exceeds `above`, an Alu(backoff), counted and
+                # charged exactly as those two instructions are.
+                load = self._load
+                vaddr = inst.vaddr
+                above = inst.above
+                backoff = inst.backoff
+                while True:
+                    instructions.value += 1
+                    start = sim._now
+                    to_send = yield from load(vaddr, aspace)
+                    load_latency.add(sim._now - start)
+                    if to_send > above:
+                        break
+                    instructions.value += 1
+                    alu_ops.value += 1
+                    yield backoff
             else:
                 to_send = yield from self._perform(inst, aspace)
 

@@ -37,6 +37,28 @@ class Load:
         return f"Load({self.vaddr:#x})"
 
 
+class Spin:
+    """A software poll: ``Load(vaddr)`` until the value exceeds
+    ``above``, with ``Alu(backoff)`` between loads; yields the first
+    value above ``above``.
+
+    One instruction for the whole wait, but every iteration is charged
+    and counted exactly as the ``Load``/``Alu`` pair it stands for.
+    """
+
+    __slots__ = ("vaddr", "above", "backoff")
+
+    def __init__(self, vaddr: int, above: Any, backoff: int):
+        if backoff < 1:
+            raise ValueError("Spin backoff must take at least one cycle")
+        self.vaddr = vaddr
+        self.above = above
+        self.backoff = backoff
+
+    def __repr__(self) -> str:
+        return f"Spin({self.vaddr:#x}, above={self.above!r}, backoff={self.backoff})"
+
+
 class Store:
     """A blocking store of ``value`` to a virtual address."""
 

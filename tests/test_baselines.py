@@ -1,10 +1,23 @@
 """Tests for the comparator models: SW queue, DeSC, DROPLET."""
 
+import sys
+
 import pytest
 
-from repro.baselines import DescBackend, DropletPrefetcher, SwQueueRing
-from repro.cpu import Alu, Load, Thread
+from repro.baselines import (
+    DescBackend,
+    DropletPrefetcher,
+    SwQueueBackend,
+    SwQueueRing,
+)
+from repro.cpu import Alu, Core, Load, Spin, Store, Thread
+from repro.datasets.graphs import power_law_graph
+from repro.harness import techniques
+from repro.harness.techniques import run_workload
+from repro.sim.faults import FaultPlan, ShootdownFault
 from repro.system import Soc
+from repro.system.soc import coherence_stress_config
+from repro.vm.address import PAGE_SHIFT
 
 
 def build():
@@ -123,6 +136,146 @@ def test_swqueue_coherence_traffic_visible():
     coherence_events = (soc.stats.get("coherence.invalidations")
                         + soc.stats.get("coherence.forwards"))
     assert coherence_events >= 6
+
+
+# -- Spin against the Load/Alu loop it replaces ------------------------------------
+
+class _LoopBackend(SwQueueBackend):
+    """The ring endpoint with its waits written as the ``Load`` +
+    ``Alu(SPIN_BACKOFF_CYCLES)`` loop that ``isa.Spin`` stands for;
+    counts the loop's failed polls in ``polls["failed"]``."""
+
+    def __init__(self, ring, producer, polls):
+        super().__init__(ring, producer)
+        self._polls = polls
+
+    def produce(self, value):
+        ring = self._ring
+        while self._local - self._cached_remote >= ring.capacity:
+            self._cached_remote = yield Load(ring.head_cell.addr(0))
+            if self._local - self._cached_remote >= ring.capacity:
+                self._polls["failed"] += 1
+                yield Alu(self.SPIN_BACKOFF_CYCLES)
+        yield Store(ring.buffer.addr(self._local % ring.capacity), value)
+        self._local += 1
+        yield Alu(1)
+        if self._local % ring.publish_interval == 0:
+            yield Store(ring.tail_cell.addr(0), self._local)
+
+    def consume(self):
+        ring = self._ring
+        while self._local >= self._cached_remote:
+            self._cached_remote = yield Load(ring.tail_cell.addr(0))
+            if self._local >= self._cached_remote:
+                self._polls["failed"] += 1
+                yield Alu(self.SPIN_BACKOFF_CYCLES)
+        value = yield Load(ring.buffer.addr(self._local % ring.capacity))
+        self._local += 1
+        yield Alu(1)
+        if self._local % ring.publish_interval == 0:
+            yield Store(ring.head_cell.addr(0), self._local)
+        return value
+
+
+def _bfs_graph():
+    return power_law_graph(256, avg_degree=4, seed=1)
+
+
+#: cell -> (app, threads, config, dataset factory, fault plan, traced):
+#: every sw-decouple cell of tests/test_slice_golden.py, the 4x4
+#: directory mesh, a traced (armed) seam and forced TLB shootdowns.
+SPIN_CELLS = {
+    "spmv/x2": ("spmv", 2, None, None, None, False),
+    "sdhp/x2": ("sdhp", 2, None, None, None, False),
+    "spmm/x2": ("spmm", 2, None, None, None, False),
+    "bfs/x2": ("bfs", 2, None, _bfs_graph, None, False),
+    "bfs/x4": ("bfs", 4, None, _bfs_graph, None, False),
+    "spmv/x4": ("spmv", 4, None, None, None, False),
+    "spmv/coherence": ("spmv", 8, coherence_stress_config(4), None, None,
+                       False),
+    "spmv/traced": ("spmv", 2, None, None, None, True),
+    "spmv/shootdowns": ("spmv", 2, None, None,
+                        FaultPlan(seed=3, shootdown=ShootdownFault(cycles=97)),
+                        False),
+}
+
+
+#: Cells where a spin's polled line leaves the spinner's L1 (coherence
+#: invalidation) or its page leaves the TLB (shootdown) mid-spin.
+DEPARTS = {"bfs/x2": "l1_gone", "bfs/x4": "l1_gone",
+           "spmv/coherence": "l1_gone", "spmv/shootdowns": "tlb_gone"}
+
+
+def _run_spin_cell(cell, monkeypatch, loop):
+    """One sw-decouple run, polling through the loop backend or through
+    ``Spin``; returns what must match and what the polls saw."""
+    app, threads, config, dataset, plan, traced = SPIN_CELLS[cell]
+    socs = []
+    seen = {"spins": 0, "repeats": 0, "l1_gone": 0, "tlb_gone": 0,
+            "failed": 0}
+    last_spin = {}
+    plain_load = Core._load
+
+    class RecordedSoc(Soc):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            socs.append(self)
+            if traced:
+                self.ports.enable_tracing()
+
+    def watched_load(core, vaddr, aspace):
+        # The instruction _execute is running: a Spin on its second or
+        # later iteration checks where the polled line and page are.
+        inst = sys._getframe(1).f_locals.get("inst")
+        if inst.__class__ is Spin:
+            if last_spin.get(core.core_id) is not inst:
+                last_spin[core.core_id] = inst
+                seen["spins"] += 1
+            else:
+                seen["repeats"] += 1
+                if (vaddr >> PAGE_SHIFT) not in core.tlb._entries:
+                    seen["tlb_gone"] += 1
+                paddr = aspace.page_table.lookup(vaddr)
+                if not socs[0].memsys.l1_would_hit(core.core_id, paddr):
+                    seen["l1_gone"] += 1
+        return plain_load(core, vaddr, aspace)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(techniques, "Soc", RecordedSoc)
+        if loop:
+            patch.setattr(SwQueueRing, "producer",
+                          lambda ring: _LoopBackend(ring, True, seen))
+            patch.setattr(SwQueueRing, "consumer",
+                          lambda ring: _LoopBackend(ring, False, seen))
+        else:
+            patch.setattr(Core, "_load", watched_load)
+        result = run_workload(app, "sw-decouple", threads=threads, scale=1,
+                              seed=0, config=config,
+                              dataset=dataset() if dataset else None,
+                              fault_plan=plan)
+    soc = result.soc
+    assert bool(soc.ports.trace_events()) == traced
+    observed = (result.cycles, soc.sim.events_executed,
+                soc.stats_snapshot(), soc.ports.telemetry())
+    return observed, result.fallback_doall, seen
+
+
+@pytest.mark.parametrize("cell", sorted(SPIN_CELLS))
+def test_spin_matches_the_load_alu_loop(cell, monkeypatch):
+    looped, fallback, loop_seen = _run_spin_cell(cell, monkeypatch, loop=True)
+    failed_polls = loop_seen["failed"]
+    spun, _, seen = _run_spin_cell(cell, monkeypatch, loop=False)
+    assert spun == looped
+    if fallback:  # SPMM is not decouplable: no ring, nothing to poll
+        assert failed_polls == 0 and seen["spins"] == 0
+        return
+    # The Spin branch ran every failed poll the loop did, and where the
+    # cell evicts the polled line or shoots down its page, it did so
+    # between two loads of one spin.
+    assert seen["spins"] > 0
+    assert seen["repeats"] == failed_polls > 0
+    if cell in DEPARTS:
+        assert seen[DEPARTS[cell]] > 0
 
 
 # -- DeSC ----------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cpu import Alu, Amo, Load, Prefetch, Store, Sync, Thread
+from repro.cpu import Alu, Amo, Load, Prefetch, Spin, Store, Sync, Thread
 from repro.params import SoCConfig
 from repro.system import Soc
 from repro.vm.os_model import SegmentationFault
@@ -34,6 +34,8 @@ def test_alu_costs_its_cycles():
 def test_alu_validation():
     with pytest.raises(ValueError):
         Alu(0)
+    with pytest.raises(ValueError):
+        Spin(0x1000, 0, backoff=0)
 
 
 def test_load_returns_stored_value_and_counts():
@@ -49,6 +51,73 @@ def test_load_returns_stored_value_and_counts():
     core = soc.cores[0]
     assert core.stats.get("loads") == 1
     assert core.stats.histogram("load_latency").count == 1
+
+
+def _spin_against_writer(poll):
+    """Core 1 runs ``poll`` on a cell that core 0 raises to 1, 3 and 7;
+    returns (value seen, cycles, core 1's counters and load samples)."""
+    soc, aspace = build()
+    cell = soc.array(aspace, 1, name="cell")
+    got = {}
+
+    def writer():
+        for delay, value in ((2000, 1), (2000, 3), (20000, 7)):
+            yield Alu(delay)
+            yield Store(cell.addr(0), value)
+
+    def spinner():
+        got["v"] = yield from poll(cell.addr(0))
+
+    cycles = soc.run_threads([(0, Thread(writer(), aspace, "w")),
+                              (1, Thread(spinner(), aspace, "s"))])
+    stats = soc.cores[1].stats
+    counts = {name: stats.get(name)
+              for name in ("instructions", "loads", "alu_ops")}
+    return got["v"], cycles, counts, stats.histogram("load_latency").count
+
+
+def test_spin_returns_first_value_above_and_counts_like_its_loop():
+    failed = []
+
+    def loop(vaddr):
+        while True:
+            value = yield Load(vaddr)
+            if value > 1:
+                return value
+            failed.append(value)
+            yield Alu(10)
+
+    def spin(vaddr):
+        return (yield Spin(vaddr, 1, backoff=10))
+
+    looped = _spin_against_writer(loop)
+    spun = _spin_against_writer(spin)
+    assert spun == looped
+    value, _, counts, samples = spun
+    # The remote store of 3 ends the wait; 1 never satisfies it and 7
+    # comes too late.
+    assert value == 3
+    k = len(failed)
+    assert k > 0 and set(failed) == {0, 1}
+    assert counts == {"instructions": 2 * k + 1, "loads": k + 1,
+                      "alu_ops": k}
+    assert samples == k + 1
+
+
+def test_spin_satisfied_at_first_load_issues_no_alu():
+    soc, aspace = build()
+    cell = soc.array(aspace, [5], name="cell")
+    got = []
+
+    def program():
+        got.append((yield Spin(cell.addr(0), 0, backoff=10)))
+
+    run_program(soc, aspace, program())
+    stats = soc.cores[0].stats
+    assert got == [5]
+    assert (stats.get("instructions"), stats.get("loads"),
+            stats.get("alu_ops")) == (1, 1, 0)
+    assert stats.histogram("load_latency").count == 1
 
 
 def test_store_buffer_makes_stores_cheap():
