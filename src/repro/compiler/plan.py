@@ -101,11 +101,6 @@ class SlicePlan:
     #: nested in an outer loop with load-defined bounds (CSR row loops).
     lima_lookahead: Dict[int, LimaLookahead] = field(default_factory=dict)
 
-    @property
-    def decoupled(self) -> bool:
-        return self.technique in (Technique.MAPLE_DECOUPLE, Technique.SW_DECOUPLE,
-                                  Technique.DESC_DECOUPLE) and not self.fallback_doall
-
 
 def plan_for(analysis: KernelAnalysis, technique: Technique) -> SlicePlan:
     builders = {
@@ -220,21 +215,21 @@ def _plan_desc(analysis: KernelAnalysis) -> SlicePlan:
             if sid in analysis.in_execute:
                 plan.execute_stmts.add(sid)
 
-    def execute_include(sid: int) -> LoadAction:
-        # DeSC's Compute slice cannot touch memory: any load it turns out
-        # to need becomes a consume, and the Supply slice must feed it.
-        current = plan.access_actions.get(sid)
-        if current in (None, LoadAction.SKIP, LoadAction.LOAD):
-            plan.access_actions[sid] = LoadAction.LOAD_AND_PRODUCE
-            plan.access_stmts.add(sid)
-        return LoadAction.CONSUME
-
-    # Iterate: closing Execute may add Supply produces, which the Supply
-    # closure must then cover.
-    for _round in range(4):
-        _close_slice(plan, analysis, "access", lambda sid: LoadAction.LOAD)
-        _close_slice(plan, analysis, "execute", execute_include)
+    _close_slice(plan, analysis, "access", lambda sid: LoadAction.LOAD)
+    _close_slice(plan, analysis, "execute", _compute_cannot_load)
     return plan
+
+
+def _compute_cannot_load(sid: int) -> LoadAction:
+    """DeSC's Compute slice never loads, and closing it never needs to.
+
+    Every name a Compute statement evaluates carries a value, store-index,
+    condition or bound use category (categories flow back through
+    computes), so every load defining one is in ``analysis.in_execute``
+    and already holds CONSUME.
+    """
+    raise AssertionError(f"DeSC Compute slice needs load {sid}, "
+                         "which its Supply slice does not feed")
 
 
 def _plan_sw_prefetch(analysis: KernelAnalysis) -> SlicePlan:

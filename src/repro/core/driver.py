@@ -46,10 +46,6 @@ class MapleDriver:
             if tile.occupant is not None and tile.occupant.startswith("core")
         }
 
-    @property
-    def instances(self) -> List[Maple]:
-        return list(self._maples)
-
     def attachments(self) -> List[tuple]:
         """Current ``(asid, instance_id)`` attachments (diagnostics)."""
         return sorted(self._attached)

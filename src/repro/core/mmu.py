@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.params import SoCConfig
+from repro.sim.port import Port
 from repro.sim.stats import ScopedStats
 from repro.vm.ptw import PageTableWalker, TranslationFault
 from repro.vm.tlb import Tlb
@@ -22,18 +23,17 @@ from repro.vm.tlb import Tlb
 class MapleMmu:
     """Translation front-end shared by the Produce pipeline and LIMA.
 
-    ``mem`` is the engine's memory :class:`~repro.sim.port.Port` (walk
-    reads become ``ptw_read`` transactions on it); a bare
-    :class:`~repro.mem.hierarchy.MemorySystem` also works standalone.
+    ``port`` is the engine's memory :class:`~repro.sim.port.Port`; walk
+    reads become ``ptw_read`` transactions on it.
     """
 
-    def __init__(self, mem, config: SoCConfig,
+    def __init__(self, port: Port, config: SoCConfig,
                  stats: ScopedStats, name: str = "maple-mmu"):
         self.name = name
         self._config = config
         self._stats = stats
         self.tlb = Tlb(config.maple_tlb_entries, stats, name=f"{name}.tlb")
-        self._ptw = PageTableWalker(mem, stats, name=f"{name}.ptw")
+        self._ptw = PageTableWalker(port, stats, name=f"{name}.ptw")
         self.root_paddr: Optional[int] = None
         self.last_fault_vaddr: Optional[int] = None
         self._fault_handler = None  # installed by the driver

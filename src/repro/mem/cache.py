@@ -46,12 +46,10 @@ class Cache:
         self.ways = ways
         self.line_size = line_size
         self.num_sets = size // (ways * line_size)
+        if self.num_sets & (self.num_sets - 1):
+            raise ValueError(f"{name}: {self.num_sets} sets is not a power of two")
         self._line_shift = line_size.bit_length() - 1
-        # Set-index mask, precomputed: geometries here always yield a
-        # power-of-two set count, so indexing is a shift + AND (the modulo
-        # fallback covers exotic configs).
-        self._set_mask = self.num_sets - 1 if not (self.num_sets &
-                                                   (self.num_sets - 1)) else None
+        self._set_mask = self.num_sets - 1
         # Each set maps line -> LineState; OrderedDict order is LRU order
         # (least recent first).  INVALID is never stored — absence IS the
         # invalid state.
@@ -60,17 +58,13 @@ class Cache:
     def _set_for(self, line: int) -> OrderedDict:
         # ``line`` is a line-aligned byte address; the set index comes from
         # the bits just above the offset, as in real tag arrays.
-        if self._set_mask is not None:
-            return self._sets[(line >> self._line_shift) & self._set_mask]
-        return self._sets[(line >> self._line_shift) % self.num_sets]
+        return self._sets[(line >> self._line_shift) & self._set_mask]
 
     def lookup(self, line: int) -> bool:
         """Probe for a line; a hit refreshes its LRU position."""
         # Single-probe fast path: move_to_end does the presence check
-        # (and _set_for's power-of-two case inlined: one call per probe).
-        mask = self._set_mask
-        entry = (self._sets[(line >> self._line_shift) & mask]
-                 if mask is not None else self._set_for(line))
+        # (and _set_for is inlined: one call per probe).
+        entry = self._sets[(line >> self._line_shift) & self._set_mask]
         try:
             entry.move_to_end(line)
             return True
@@ -79,10 +73,7 @@ class Cache:
 
     def contains(self, line: int) -> bool:
         """Probe without disturbing LRU state (for assertions/snoops)."""
-        mask = self._set_mask
-        if mask is not None:
-            return line in self._sets[(line >> self._line_shift) & mask]
-        return line in self._set_for(line)
+        return line in self._sets[(line >> self._line_shift) & self._set_mask]
 
     def insert(self, line: int,
                state: LineState = LineState.SHARED) -> Optional[EvictedLine]:

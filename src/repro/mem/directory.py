@@ -42,10 +42,10 @@ Protocol (MESI, invalidate-based; the state machine itself lives in
 The directory's MESI state lives *in the slices themselves*: building
 the directory shards the hierarchy's :class:`~repro.mem.coherence.
 CoherenceBook` by :meth:`slice_of`, so each home bank literally owns the
-``line -> (sharers, owner)`` entries it arbitrates (:meth:`slice_state`
-exposes a bank's shard).  :meth:`_grant` hard-checks the single-writer
-invariant at every grant — a violation raises :class:`DirectoryError`
-rather than letting two writers coexist silently.
+``line -> (sharers, owner)`` entries it arbitrates.  :meth:`_grant`
+hard-checks the single-writer invariant at every grant — a violation
+raises :class:`DirectoryError` rather than letting two writers coexist
+silently.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Sequence, Tuple
 
-from repro.mem.coherence import Entry, LineState
+from repro.mem.coherence import LineState
 from repro.noc import Network, Plane
 from repro.params import SoCConfig
 from repro.sim import Semaphore, Simulator
@@ -157,11 +157,6 @@ class Directory:
         """True while a home transaction for ``line`` is being served (or
         queued) — the window in which silent upgrades are unsafe."""
         return line in self._locks
-
-    def slice_state(self, index: int) -> Dict[int, Entry]:
-        """Home bank ``index``'s own MESI entries (its shard of the
-        book): ``line -> (sharers, owner)``."""
-        return self._book.shard_lines(index)
 
     @property
     def owners(self) -> Dict[int, int]:

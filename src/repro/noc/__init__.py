@@ -12,8 +12,7 @@ ultimate limit).
 
 from repro.noc.mesh import PLACEMENT_POLICIES, Mesh, Tile, placement_tiles
 from repro.noc.network import Network, Plane
-from repro.noc.packet import Packet
 from repro.noc.routing import xy_route
 
-__all__ = ["Mesh", "Network", "Packet", "Plane", "Tile", "xy_route",
+__all__ = ["Mesh", "Network", "Plane", "Tile", "xy_route",
            "PLACEMENT_POLICIES", "placement_tiles"]

@@ -1,12 +1,10 @@
 """The three-plane network fabric.
 
 OpenPiton uses three physical NoCs so that requests, responses, and memory
-traffic cannot deadlock each other.  :class:`Network.transfer` charges
-encode + hops + decode cycles and records per-plane statistics; an optional
-``latency_override`` supports the Fig. 15 sensitivity sweep, where the
-core-to-MAPLE latency is varied as a free parameter.
+traffic cannot deadlock each other.  A traversal charges encode + hops +
+decode cycles and records per-plane statistics.
 
-The network is also the transport for inter-tile port pairs:
+The network is the transport for inter-tile port pairs:
 :meth:`Network.link` returns a link generator that a
 :class:`~repro.sim.port.Port` connection installs per direction, so every
 cross-tile transaction (e.g. a core's MMIO access to MAPLE) pays the mesh
@@ -26,7 +24,6 @@ import enum
 from typing import Dict, Tuple
 
 from repro.noc.mesh import Mesh
-from repro.noc.packet import Packet
 from repro.params import SoCConfig
 from repro.sim import Message, Simulator
 from repro.sim.stats import Stats
@@ -75,15 +72,6 @@ class Network:
     def one_way_latency(self, src_tile: int, dst_tile: int) -> int:
         """Encode + per-hop + decode cost for one packet."""
         return self._route(src_tile, dst_tile)[0]
-
-    def transfer(self, packet: Packet, plane: Plane):
-        """Generator: move a packet across the mesh, charging latency."""
-        latency, hops = self._route(packet.src, packet.dst)
-        packets_c, hops_c = self._plane_counters[plane]
-        packets_c.value += 1
-        hops_c.value += hops
-        yield latency
-        return packet
 
     def traversal(self, plane: Plane):
         """``traverse(src, dst) -> latency``: count one packet and its

@@ -23,17 +23,13 @@ class Counter:
     """A single named statistic, bound to one slot in a :class:`Stats`.
 
     ``value`` is public on purpose: hot paths do ``counter.value += n``
-    with no function call.  :meth:`bump` exists for symmetry with the
-    registry API.
+    with no function call.
     """
 
     __slots__ = ("value",)
 
     def __init__(self, value: int = 0):
         self.value = value
-
-    def bump(self, amount: int = 1) -> None:
-        self.value += amount
 
     def __repr__(self) -> str:
         return f"<Counter {self.value}>"

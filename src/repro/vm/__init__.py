@@ -17,7 +17,7 @@ from repro.vm.address import (
     vpn_indices,
 )
 from repro.vm.alloc import SimArray, alloc_array
-from repro.vm.os_model import AddressSpace, PageFault, SegmentationFault, SimOS
+from repro.vm.os_model import AddressSpace, SegmentationFault, SimOS
 from repro.vm.page_table import (
     PTE_R,
     PTE_U,
@@ -34,7 +34,6 @@ from repro.vm.tlb import Tlb
 __all__ = [
     "AddressSpace",
     "PAGE_SHIFT",
-    "PageFault",
     "PageTable",
     "PageTableWalker",
     "PTE_R",

@@ -24,14 +24,6 @@ from repro.vm.page_table import PTE_R, PTE_U, PTE_W, PageTable
 from repro.vm.tlb import Tlb
 
 
-class PageFault(Exception):
-    """Recoverable fault: the OS can map the page and retry."""
-
-    def __init__(self, vaddr: int):
-        super().__init__(f"page fault at {vaddr:#x}")
-        self.vaddr = vaddr
-
-
 class SegmentationFault(Exception):
     """Unrecoverable fault: access outside any VMA."""
 

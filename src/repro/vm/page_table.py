@@ -12,17 +12,18 @@ by the OS; the timed read path is the walker's.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from repro.mem.backing import PhysicalMemory
 from repro.vm.address import (ENTRIES_PER_TABLE, PAGE_SHIFT, PAGE_SIZE,
-                              page_offset, vpn_indices)
+                              VPN_BITS, page_offset, vpn_indices)
 
 PTE_V = 0x1  # valid
 PTE_R = 0x2  # readable (leaf)
 PTE_W = 0x4  # writable
 PTE_U = 0x8  # user accessible
 _PPN_SHIFT = 10
+_REGION_SHIFT = PAGE_SHIFT + VPN_BITS  # one leaf table maps 2 MB
 
 
 def make_pte(ppn: int, flags: int) -> int:
@@ -45,6 +46,11 @@ def pte_flags(pte: int) -> int:
     return pte & ((1 << _PPN_SHIFT) - 1)
 
 
+def _leaf_entry(table_paddr: int, vaddr: int) -> int:
+    """Address of ``vaddr``'s PTE in the leaf table at ``table_paddr``."""
+    return table_paddr + 8 * ((vaddr >> PAGE_SHIFT) & (ENTRIES_PER_TABLE - 1))
+
+
 class PageTable:
     """A three-level radix tree rooted at ``root_paddr``.
 
@@ -58,75 +64,67 @@ class PageTable:
         self.mem = mem
         self.root_paddr = root_paddr
         self._alloc_frame = alloc_frame
-        # vpn -> leaf PTE address.  Intermediate tables are allocated once
-        # and never freed, so a leaf slot's address is stable; only the PTE
-        # *word* changes, and that is still read from memory on every
-        # lookup.  Negative results are not cached (map_page can create the
-        # missing intermediate levels at any time).
-        self._leaf_addr_cache: dict = {}
-        self._zero_table(root_paddr)
+        # 2 MB region (vaddr >> 21) -> physical address of its leaf table.
+        # Intermediate tables are allocated once and never freed, so the
+        # address is stable; only the leaf PTE *words* change, and those
+        # are read from memory on every lookup.  Missing regions are not
+        # cached (map_page can create them at any time).
+        self._leaf_tables: Dict[int, int] = {}
 
-    def _zero_table(self, table_paddr: int) -> None:
-        for index in range(ENTRIES_PER_TABLE):
-            self.mem.write_word(table_paddr + 8 * index, 0)
+    def _leaf_table(self, vaddr: int, create: bool) -> Optional[int]:
+        """The leaf table covering ``vaddr``, or None when a level is
+        missing and ``create`` is false.
 
-    def _entry_addr(self, table_paddr: int, index: int) -> int:
-        return table_paddr + 8 * index
+        With ``create`` the missing levels are built.  No table is zeroed:
+        the root and every new table come fresh from ``SimOS``'s bump
+        allocator, which never reuses a frame, and unwritten words of
+        physical memory read as 0, an invalid PTE.
+        """
+        region = vaddr >> _REGION_SHIFT
+        table = self._leaf_tables.get(region)
+        if table is not None:
+            return table
+        table = self.root_paddr
+        for index in vpn_indices(vaddr)[:2]:
+            entry_addr = table + 8 * index
+            pte = self.mem.read_word(entry_addr)
+            if pte_is_valid(pte) and not pte_is_leaf(pte):
+                table = pte_ppn(pte) << PAGE_SHIFT
+            elif not create:
+                return None
+            elif pte_is_valid(pte):
+                raise ValueError("superpage in the middle of a walk")
+            else:
+                table = self._alloc_frame()
+                self.mem.write_word(entry_addr,
+                                    make_pte(table >> PAGE_SHIFT, PTE_V))
+        self._leaf_tables[region] = table
+        return table
 
     def map_page(self, vaddr: int, paddr: int, flags: int = PTE_R | PTE_W | PTE_U) -> None:
         """Install a 4 KB leaf mapping vaddr's page -> paddr's frame."""
         if paddr % PAGE_SIZE:
             raise ValueError(f"physical frame {paddr:#x} not page aligned")
-        vpn2, vpn1, vpn0 = vpn_indices(vaddr)
-        table = self.root_paddr
-        for index in (vpn2, vpn1):
-            entry_addr = self._entry_addr(table, index)
-            pte = self.mem.read_word(entry_addr)
-            if not pte_is_valid(pte):
-                next_table = self._alloc_frame()
-                self._zero_table(next_table)
-                self.mem.write_word(entry_addr, make_pte(next_table >> PAGE_SHIFT, PTE_V))
-                table = next_table
-            else:
-                if pte_is_leaf(pte):
-                    raise ValueError("superpage in the middle of a walk")
-                table = pte_ppn(pte) << PAGE_SHIFT
-        leaf_addr = self._entry_addr(table, vpn0)
-        self.mem.write_word(leaf_addr, make_pte(paddr >> PAGE_SHIFT, flags | PTE_V))
+        self.mem.write_word(_leaf_entry(self._leaf_table(vaddr, True), vaddr),
+                            make_pte(paddr >> PAGE_SHIFT, flags | PTE_V))
 
     def unmap_page(self, vaddr: int) -> bool:
         """Remove a leaf mapping. Returns False if it was not mapped."""
-        leaf_addr = self._leaf_entry_addr(vaddr)
-        if leaf_addr is None:
+        table = self._leaf_table(vaddr, False)
+        if table is None:
             return False
-        pte = self.mem.read_word(leaf_addr)
-        if not pte_is_valid(pte):
+        leaf_addr = _leaf_entry(table, vaddr)
+        if not pte_is_valid(self.mem.read_word(leaf_addr)):
             return False
         self.mem.write_word(leaf_addr, 0)
         return True
 
     def lookup(self, vaddr: int) -> Optional[int]:
         """Functional translation (no timing). None if unmapped."""
-        leaf_addr = self._leaf_entry_addr(vaddr)
-        if leaf_addr is None:
+        table = self._leaf_table(vaddr, False)
+        if table is None:
             return None
-        pte = self.mem.read_word(leaf_addr)
+        pte = self.mem.read_word(_leaf_entry(table, vaddr))
         if not pte_is_valid(pte) or not pte_is_leaf(pte):
             return None
         return (pte_ppn(pte) << PAGE_SHIFT) | page_offset(vaddr)
-
-    def _leaf_entry_addr(self, vaddr: int) -> Optional[int]:
-        vpn = vaddr >> PAGE_SHIFT
-        cached = self._leaf_addr_cache.get(vpn)
-        if cached is not None:
-            return cached
-        vpn2, vpn1, vpn0 = vpn_indices(vaddr)
-        table = self.root_paddr
-        for index in (vpn2, vpn1):
-            pte = self.mem.read_word(self._entry_addr(table, index))
-            if not pte_is_valid(pte) or pte_is_leaf(pte):
-                return None
-            table = pte_ppn(pte) << PAGE_SHIFT
-        leaf_addr = self._entry_addr(table, vpn0)
-        self._leaf_addr_cache[vpn] = leaf_addr
-        return leaf_addr

@@ -6,21 +6,18 @@ a cold one pays DRAM.  On an invalid or non-leaf final PTE the walker
 reports a :class:`TranslationFault` carrying the faulting address, which
 the OS (or the MAPLE driver, §3.5) resolves.
 
-The walker consumes the same memory interface as its owner: constructed
-with a :class:`~repro.sim.port.Port` (a core's or MAPLE's memory port),
-each PTE read is a timed ``ptw_read`` transaction on that port, so walk
-traffic shows up in the owner's telemetry tap.  Constructing it directly
-with a :class:`~repro.mem.hierarchy.MemorySystem` keeps working for
-standalone use (the read goes straight down the LLC path).
+The walker reads through its owner's memory
+:class:`~repro.sim.port.Port` (a core's or MAPLE's): each PTE read is a
+timed ``ptw_read`` transaction on that port, so walk traffic shows up in
+the owner's telemetry tap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.mem.dram import is_poisoned
-from repro.sim.port import DataIntegrityError
+from repro.sim.port import DataIntegrityError, Port
 from repro.sim.stats import ScopedStats
 from repro.vm.address import PAGE_SHIFT, page_offset, vpn_indices
 from repro.vm.page_table import pte_flags, pte_is_leaf, pte_is_valid, pte_ppn
@@ -40,19 +37,15 @@ class TranslationFault(Exception):
 class PageTableWalker:
     """Walks a radix table rooted wherever the MMU's root register points."""
 
-    def __init__(self, mem, stats: Optional[ScopedStats] = None,
-                 name: str = "ptw"):
+    def __init__(self, port: Port, stats: ScopedStats, name: str = "ptw"):
         self._stats = stats
         self.name = name
         #: Walks currently in flight (watchdog dumps report this so a hang
         #: inside a translation is distinguishable from one in the fetch).
         self.inflight = 0
-        if hasattr(mem, "load_llc"):  # a MemorySystem, used directly
-            self._read_pte = mem.load_llc
-        else:  # a memory Port: PTE reads are ptw_read transactions
-            # The seam's lowered read: a port request itself while the
-            # seam is armed.
-            self._read_pte = mem.lowered("ptw_read")
+        # The seam's lowered read: a port request itself while the seam
+        # is armed.
+        self._read_pte = port.lowered("ptw_read")
 
     def walk(self, root_paddr: int, vaddr: int):
         """Generator: translate ``vaddr``; returns (paddr, flags).
@@ -60,8 +53,7 @@ class PageTableWalker:
         Raises :class:`TranslationFault` on invalid mappings.  Timing: one
         LLC-path read per level.
         """
-        if self._stats:
-            self._stats.bump("walks")
+        self._stats.bump("walks")
         table = root_paddr
         indices = vpn_indices(vaddr)
         self.inflight += 1
@@ -79,20 +71,17 @@ class PageTableWalker:
                         component="ptw", kind="ptw_read",
                         addr=table + 8 * index)
                 if not isinstance(pte, int) or not pte_is_valid(pte):
-                    if self._stats:
-                        self._stats.bump("faults")
+                    self._stats.bump("faults")
                     raise TranslationFault(vaddr, level)
                 if pte_is_leaf(pte):
                     if level != len(indices) - 1:
                         # Superpages are not produced by our OS; treat as fault.
-                        if self._stats:
-                            self._stats.bump("faults")
+                        self._stats.bump("faults")
                         raise TranslationFault(vaddr, level)
                     frame = pte_ppn(pte) << PAGE_SHIFT
                     return frame | page_offset(vaddr), pte_flags(pte)
                 table = pte_ppn(pte) << PAGE_SHIFT
-            if self._stats:
-                self._stats.bump("faults")
+            self._stats.bump("faults")
             raise TranslationFault(vaddr, len(indices) - 1)
         finally:
             self.inflight -= 1

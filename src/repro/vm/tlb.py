@@ -18,29 +18,25 @@ from repro.vm.address import PAGE_SHIFT, PAGE_SIZE
 class Tlb:
     """vpn -> (frame_paddr, flags), true LRU."""
 
-    def __init__(self, entries: int, stats: Optional[ScopedStats] = None,
-                 name: str = "tlb"):
+    def __init__(self, entries: int, stats: ScopedStats, name: str = "tlb"):
         if entries < 1:
             raise ValueError("TLB needs at least one entry")
         self.name = name
         self.capacity = entries
         self._entries: "OrderedDict[int, Tuple[int, int]]" = OrderedDict()
-        self._stats = stats
         # Bound handles: translate() runs once per memory instruction.
-        self._c_hits = stats.counter("hits") if stats else None
-        self._c_misses = stats.counter("misses") if stats else None
+        self._c_hits = stats.counter("hits")
+        self._c_misses = stats.counter("misses")
 
     def translate(self, vaddr: int) -> Optional[Tuple[int, int]]:
         """(paddr, flags) on a hit, None on a miss. Hits refresh LRU."""
         vpn = vaddr >> PAGE_SHIFT
         entry = self._entries.get(vpn)
         if entry is None:
-            if self._c_misses is not None:
-                self._c_misses.value += 1
+            self._c_misses.value += 1
             return None
         self._entries.move_to_end(vpn)
-        if self._c_hits is not None:
-            self._c_hits.value += 1
+        self._c_hits.value += 1
         frame, flags = entry
         return frame | (vaddr & (PAGE_SIZE - 1)), flags
 

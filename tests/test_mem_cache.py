@@ -25,6 +25,11 @@ def test_geometry():
         Cache(1000, 3, 64)
 
 
+def test_set_count_must_be_a_power_of_two():
+    with pytest.raises(ValueError, match="3 sets is not a power of two"):
+        Cache(3 * 2 * LINE, 2, LINE, name="t")
+
+
 def test_miss_then_hit():
     cache = make_cache()
     assert not cache.lookup(L(0))

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.noc import Mesh, Network, Packet, Plane
+from repro.noc import Mesh, Network, Plane
 from repro.noc.routing import hop_count, xy_route
 from repro.params import SoCConfig
 from repro.sim import Simulator, Stats
@@ -134,17 +134,9 @@ def test_round_trip_is_symmetric_sum():
     assert net.round_trip_latency(0, 3) == 2 * net.one_way_latency(0, 3)
 
 
-def test_transfer_charges_latency_and_counts():
-    sim, net, stats = make_network()
-    done = {}
-
-    def proc():
-        yield from net.transfer(Packet(0, 3, "mmio_load"), Plane.REQUEST)
-        done["t"] = sim.now
-
-    sim.spawn(proc())
-    sim.run()
-    assert done["t"] == net.one_way_latency(0, 3)
+def test_traversal_charges_latency_and_counts():
+    _, net, stats = make_network()
+    assert net.traversal(Plane.REQUEST)(0, 3) == net.one_way_latency(0, 3)
     assert stats.get("noc.request.packets") == 1
     assert stats.get("noc.request.hops") == 2
 
@@ -197,15 +189,10 @@ def test_route_cache_never_leaks_across_hop_latencies():
 
 
 def test_planes_tracked_independently():
-    sim, net, stats = make_network()
-
-    def proc():
-        yield from net.transfer(Packet(0, 1, "req"), Plane.REQUEST)
-        yield from net.transfer(Packet(1, 0, "resp"), Plane.RESPONSE)
-        yield from net.transfer(Packet(1, 2, "mem"), Plane.MEMORY)
-
-    sim.spawn(proc())
-    sim.run()
+    _, net, stats = make_network()
+    net.traversal(Plane.REQUEST)(0, 1)
+    net.traversal(Plane.RESPONSE)(1, 0)
+    net.traversal(Plane.MEMORY)(1, 2)
     assert stats.get("noc.request.packets") == 1
     assert stats.get("noc.response.packets") == 1
     assert stats.get("noc.memory.packets") == 1

@@ -1,11 +1,12 @@
 """Tests for paging, TLBs, the walker, and the OS model."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.mem import MemorySystem
 from repro.params import SoCConfig
 from repro.sim import Simulator, Stats
+from repro.sim.port import PortRegistry
 from repro.vm import (
     PageTableWalker,
     SegmentationFault,
@@ -14,9 +15,9 @@ from repro.vm import (
     TranslationFault,
     vpn_indices,
 )
-from repro.vm.address import PAGE_SIZE, page_round_up
+from repro.vm.address import PAGE_SHIFT, PAGE_SIZE, page_round_up
 from repro.vm.alloc import alloc_array
-from repro.vm.page_table import PTE_R, PTE_U, PTE_W
+from repro.vm.page_table import PTE_R, PTE_U, PTE_V, PTE_W, make_pte
 
 
 def make_os(**overrides):
@@ -27,6 +28,16 @@ def make_os(**overrides):
     for core in range(cfg.num_cores):
         memsys.add_core(core)
     return sim, SimOS(sim, memsys, cfg), stats
+
+
+def make_walker(sim, os, stats):
+    """A walker on core 0's memory port, wired as a core wires its own."""
+    port = os.memsys.connect_core_port(PortRegistry(sim), 0, tile=0)
+    return PageTableWalker(port, stats.scoped("ptw"))
+
+
+def make_tlb(entries):
+    return Tlb(entries, Stats().scoped("tlb"))
 
 
 def drive(sim, gen):
@@ -113,17 +124,68 @@ def test_many_mappings_all_resolve(vpns):
         assert aspace.page_table.lookup(vaddr + 0x10) == frame + 0x10
 
 
+def test_first_mapping_writes_only_its_three_ptes():
+    # Fresh tables are never zeroed: unwritten words already read as 0.
+    _, os, _ = make_os()
+    aspace = os.create_address_space()
+    assert os.memsys.mem.words_in_use() == 0
+    aspace.page_table.map_page(0x4000_0000, os.alloc_frame())
+    assert os.memsys.mem.words_in_use() == 3  # two intermediate PTEs + leaf
+
+
+def test_superpage_in_the_walk_is_refused():
+    _, os, _ = make_os()
+    aspace = os.create_address_space()
+    table = aspace.page_table
+    vaddr = 3 << 30  # root entry 3 becomes a 1 GB leaf
+    os.memsys.mem.write_word(table.root_paddr + 8 * 3,
+                             make_pte(os.alloc_frame() >> PAGE_SHIFT, PTE_R | PTE_V))
+    assert table.lookup(vaddr) is None
+    assert not table.unmap_page(vaddr)
+    with pytest.raises(ValueError, match="superpage"):
+        table.map_page(vaddr, os.alloc_frame())
+
+
+_GB_PAGES = 1 << 18  # pages per 1 GB root entry
+# Pages on both sides of a 2 MB (512-page) and of a 1 GB boundary.
+_EDGE_VPNS = [0, 1, 511, 512, 513, _GB_PAGES - 1, _GB_PAGES, _GB_PAGES + 512,
+              (1 << 27) - 1]
+
+
+@given(st.lists(st.tuples(st.sampled_from(["map", "unmap", "lookup"]),
+                          st.sampled_from(_EDGE_VPNS)), max_size=40))
+@example([("lookup", 512), ("map", 511), ("map", 512), ("unmap", 512),
+          ("lookup", 512), ("map", 512), ("map", _GB_PAGES - 1),
+          ("map", _GB_PAGES), ("unmap", _GB_PAGES - 1), ("unmap", 0)])
+@settings(max_examples=50, deadline=None)
+def test_page_table_matches_a_dict_model(ops):
+    _, os, _ = make_os()
+    table = os.create_address_space().page_table
+    model = {}
+    for op, vpn in ops:
+        vaddr = vpn * PAGE_SIZE
+        if op == "map":  # remapping a mapped page replaces its frame
+            model[vpn] = os.alloc_frame()
+            table.map_page(vaddr, model[vpn])
+        elif op == "unmap":
+            assert table.unmap_page(vaddr) == (model.pop(vpn, None) is not None)
+        for probe in _EDGE_VPNS:
+            frame = model.get(probe)
+            assert table.lookup(probe * PAGE_SIZE + 0x18) == (
+                None if frame is None else frame + 0x18)
+
+
 # -- TLB -------------------------------------------------------------------------
 
 def test_tlb_hit_and_miss():
-    tlb = Tlb(entries=4)
+    tlb = make_tlb(4)
     assert tlb.translate(0x1000) is None
     tlb.insert(0x1000, 0x8000, PTE_R)
     assert tlb.translate(0x1234) == (0x8234, PTE_R)
 
 
 def test_tlb_lru_eviction():
-    tlb = Tlb(entries=2)
+    tlb = make_tlb(2)
     tlb.insert(0x1000, 0xA000, 0)
     tlb.insert(0x2000, 0xB000, 0)
     tlb.translate(0x1000)          # refresh 0x1000
@@ -133,7 +195,7 @@ def test_tlb_lru_eviction():
 
 
 def test_tlb_invalidate_page():
-    tlb = Tlb(entries=4)
+    tlb = make_tlb(4)
     tlb.insert(0x1000, 0xA000, 0)
     assert tlb.invalidate_page(0x1abc)
     assert tlb.translate(0x1000) is None
@@ -141,7 +203,7 @@ def test_tlb_invalidate_page():
 
 
 def test_tlb_flush():
-    tlb = Tlb(entries=4)
+    tlb = make_tlb(4)
     tlb.insert(0x1000, 0xA000, 0)
     tlb.insert(0x2000, 0xB000, 0)
     tlb.flush()
@@ -149,7 +211,7 @@ def test_tlb_flush():
 
 
 def test_tlb_reinsert_same_page_does_not_grow():
-    tlb = Tlb(entries=2)
+    tlb = make_tlb(2)
     tlb.insert(0x1000, 0xA000, 0)
     tlb.insert(0x1000, 0xA000, 0)
     assert len(tlb) == 1
@@ -157,7 +219,7 @@ def test_tlb_reinsert_same_page_does_not_grow():
 
 @given(st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=200))
 def test_tlb_never_exceeds_capacity(pages):
-    tlb = Tlb(entries=16)
+    tlb = make_tlb(16)
     for vpn in pages:
         tlb.insert(vpn * PAGE_SIZE, (vpn + 1000) * PAGE_SIZE, 0)
         assert len(tlb) <= 16
@@ -172,7 +234,7 @@ def test_walker_translates_with_timing():
     aspace = os.create_address_space()
     frame = os.alloc_frame()
     aspace.page_table.map_page(0x6000_0000, frame, PTE_R | PTE_W | PTE_U)
-    walker = PageTableWalker(os.memsys, stats.scoped("ptw"))
+    walker = make_walker(sim, os, stats)
     (paddr, flags), cycles = drive(sim, walker.walk(aspace.root_paddr, 0x6000_0040))
     assert paddr == frame + 0x40
     assert flags & PTE_R
@@ -185,7 +247,7 @@ def test_walker_warm_walk_is_cheaper():
     aspace = os.create_address_space()
     frame = os.alloc_frame()
     aspace.page_table.map_page(0x6000_0000, frame)
-    walker = PageTableWalker(os.memsys, stats.scoped("ptw"))
+    walker = make_walker(sim, os, stats)
     _, cold = drive(sim, walker.walk(aspace.root_paddr, 0x6000_0000))
     _, warm = drive(sim, walker.walk(aspace.root_paddr, 0x6000_0000))
     assert warm < cold  # page-table lines now cached in L2
@@ -195,7 +257,7 @@ def test_walker_warm_walk_is_cheaper():
 def test_walker_faults_on_unmapped():
     sim, os, stats = make_os()
     aspace = os.create_address_space()
-    walker = PageTableWalker(os.memsys, stats.scoped("ptw"))
+    walker = make_walker(sim, os, stats)
 
     def proc():
         try:
@@ -251,7 +313,7 @@ def test_munmap_shoots_down_registered_tlbs():
     _, os, _ = make_os()
     aspace = os.create_address_space()
     base = os.mmap(aspace, PAGE_SIZE)
-    tlb = Tlb(entries=4)
+    tlb = make_tlb(4)
     os.register_tlb(tlb)
     paddr = aspace.page_table.lookup(base)
     tlb.insert(base, paddr & ~(PAGE_SIZE - 1), PTE_R)

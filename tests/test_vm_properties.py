@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from repro.mem import MemorySystem
 from repro.params import SoCConfig
 from repro.sim import Simulator, Stats
+from repro.sim.port import PortRegistry
 from repro.vm import PageTableWalker, TranslationFault
 from repro.vm.address import PAGE_SIZE
 from repro.vm.os_model import SimOS
@@ -42,7 +43,8 @@ def test_timed_walker_agrees_with_functional_lookup(vpns, word):
     the functional lookup says 'unmapped'."""
     sim, os = make_os()
     aspace = os.create_address_space()
-    walker = PageTableWalker(os.memsys)
+    port = os.memsys.connect_core_port(PortRegistry(sim), 0, tile=0)
+    walker = PageTableWalker(port, Stats().scoped("ptw"))
     mapped = {}
     for vpn in vpns[: len(vpns) // 2 + 1]:
         vaddr = vpn * PAGE_SIZE
