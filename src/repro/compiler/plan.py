@@ -156,10 +156,8 @@ def _plan_maple_decouple(analysis: KernelAnalysis) -> SlicePlan:
             LoadAction.LOAD if in_access else LoadAction.SKIP)
         plan.execute_actions[sid] = (
             LoadAction.LOAD if in_execute else LoadAction.SKIP)
-    _close_slice(plan, analysis, "access",
-                 lambda sid: LoadAction.LOAD)
-    _close_slice(plan, analysis, "execute",
-                 lambda sid: LoadAction.LOAD)
+    _close_slice(plan, analysis, "access")
+    _close_slice(plan, analysis, "execute")
     return plan
 
 
@@ -215,21 +213,9 @@ def _plan_desc(analysis: KernelAnalysis) -> SlicePlan:
             if sid in analysis.in_execute:
                 plan.execute_stmts.add(sid)
 
-    _close_slice(plan, analysis, "access", lambda sid: LoadAction.LOAD)
-    _close_slice(plan, analysis, "execute", _compute_cannot_load)
+    _close_slice(plan, analysis, "access")
+    _close_slice(plan, analysis, "execute")
     return plan
-
-
-def _compute_cannot_load(sid: int) -> LoadAction:
-    """DeSC's Compute slice never loads, and closing it never needs to.
-
-    Every name a Compute statement evaluates carries a value, store-index,
-    condition or bound use category (categories flow back through
-    computes), so every load defining one is in ``analysis.in_execute``
-    and already holds CONSUME.
-    """
-    raise AssertionError(f"DeSC Compute slice needs load {sid}, "
-                         "which its Supply slice does not feed")
 
 
 def _plan_sw_prefetch(analysis: KernelAnalysis) -> SlicePlan:
@@ -328,14 +314,17 @@ def _needed_vars(stmt, action) -> Set[str]:
     raise TypeError(f"not a statement: {stmt!r}")
 
 
-def _close_slice(plan: SlicePlan, analysis: KernelAnalysis, which: str,
-                 include_load) -> None:
+def _close_slice(plan: SlicePlan, analysis: KernelAnalysis,
+                 which: str) -> None:
     """Transitively include the definitions of every name a slice uses.
 
     A slice that evaluates an expression needs the statements defining
-    its temps: computes join the slice, loads join with the action
-    ``include_load(stmt_id)`` unless they already have a queue action.
-    Enclosing If/For statements of any included statement join too.
+    its temps: computes and loads join the slice, and enclosing If/For
+    statements of any included statement join too.  Every load reached
+    this way already holds its action: each name a slice evaluates
+    carries a use category (categories flow back through computes), so
+    the planner assigned the load defining it a LOAD or queue action up
+    front.  A reached load without one is a planner bug and raises.
     """
     kernel = plan.kernel
     stmts = plan.access_stmts if which == "access" else plan.execute_stmts
@@ -352,10 +341,10 @@ def _close_slice(plan: SlicePlan, analysis: KernelAnalysis, which: str,
                 for definition in analysis.defs.get(name, ()):
                     did = definition.stmt_id
                     if isinstance(definition, LoadStmt):
-                        action = actions.get(did)
-                        if action in (None, LoadAction.SKIP):
-                            actions[did] = include_load(did)
-                            changed = True
+                        if actions.get(did) in (None, LoadAction.SKIP):
+                            raise AssertionError(
+                                f"{plan.technique.value} {which} slice "
+                                f"needs load {did}, which holds no action")
                         if did not in stmts:
                             stmts.add(did)
                             changed = True

@@ -79,6 +79,8 @@ class Maple:
         self._c_produce_ptrs = self.stats.counter("produce_ptrs")
         self._c_produce_backpressure = self.stats.counter("produce_backpressure")
         self._h_fetch_mlp = self.stats.histogram("fetch_mlp")
+        # Bound at the first LIMA op: a run without one has no lima_ops.
+        self._c_lima_ops = None
         # Per-request pipeline constant, hoisted out of _serve_mmio.
         self._pipeline_latency = config.maple_pipeline_latency
         self.page_paddr = mmio_base + instance_id * PAGE_SIZE
@@ -195,21 +197,20 @@ class Maple:
                                            src=core_tile)
 
     def _mmio_lowered(self, op: str, paddr: int, value, core_id: int,
-                      client, client_txn: int):
+                      client):
         """Generator: the MMIORegion's lowered access — a core's whole
         MMIO access in one frame directly under the core's: the dispatch
         port's bookkeeping, the request leg (core path + request NoC),
         :meth:`_serve_mmio`'s decode and pipeline charge, the pipeline
         itself and the response leg (response NoC + return path) — the
         Fig. 14 segments, yielded exactly as the port pair yields them —
-        then the close of the core-seam transaction ``client_txn`` the
-        memory system opened.  While the MMIO seam is armed or at depth
+        then the close of the core-seam transaction the memory system
+        opened on ``client``.  While the MMIO seam is armed or at depth
         the middle is the generic :meth:`_mmio_entry` request."""
         dispatch = self._mmio_dispatch
         load = op == "load"
-        txn = dispatch.begin("mmio_load" if load else "mmio_store")
         try:
-            if txn is None:
+            if dispatch.begin("mmio_load" if load else "mmio_store") is None:
                 result = yield from self._mmio_entry(op, paddr, value,
                                                      core_id)
             else:
@@ -232,13 +233,13 @@ class Maple:
                     if path:
                         yield path
                 except BaseException:
-                    dispatch.end(txn, ok=False)
+                    dispatch.end(ok=False)
                     raise
-                dispatch.end(txn)
+                dispatch.end()
         except BaseException:
-            client.end(client_txn, ok=False)
+            client.end(ok=False)
             raise
-        client.end(client_txn)
+        client.end()
         return result
 
     def _serve_mmio(self, msg: Message):
@@ -348,14 +349,15 @@ class Maple:
             lo, hi = value
             self.lima.set_range(queue_id, lo, hi)
             return None
-        if opcode == StoreOp.LIMA_START:
-            self.stats.bump("lima_ops")
-            self.lima.start(queue_id, mode=value)
-            return None
-        if opcode == StoreOp.LIMA_RUN:
-            lo, hi, mode = value
-            self.lima.set_range(queue_id, lo, hi)
-            self.stats.bump("lima_ops")
+        if opcode == StoreOp.LIMA_START or opcode == StoreOp.LIMA_RUN:
+            mode = value
+            if opcode == StoreOp.LIMA_RUN:
+                lo, hi, mode = value
+                self.lima.set_range(queue_id, lo, hi)
+            ops = self._c_lima_ops
+            if ops is None:
+                ops = self._c_lima_ops = self.stats.counter("lima_ops")
+            ops.value += 1
             self.lima.start(queue_id, mode=mode)
             return None
         raise MapleError(f"unimplemented store opcode {opcode!r}")

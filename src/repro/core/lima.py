@@ -21,6 +21,7 @@ from typing import Dict, Optional, TYPE_CHECKING
 
 from repro.mem.dram import is_poisoned
 from repro.sim.port import DataIntegrityError
+from repro.sim.stats import Counter
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import Maple
@@ -54,6 +55,11 @@ class LimaUnit:
         # interleaving two runs' slot reservations would scramble the FIFO.
         self._pending: Dict[int, list] = {}
         self._busy: Dict[int, bool] = {}
+        # Counter handles, bound at first use so a unit that never runs
+        # adds no zero-valued ``lima_*`` key to the stats.
+        self._c_started: Optional[Counter] = None
+        self._c_chunks: Optional[Counter] = None
+        self._c_elements: Optional[Counter] = None
 
     def debug_state(self) -> dict:
         """Liveness snapshot: running expansions and per-queue backlog."""
@@ -113,7 +119,13 @@ class LimaUnit:
         fetch_line = mem_port.lowered("dram_line")
         line_size = maple.config.line_size
         queue = maple.scratchpad.queue(queue_id)
-        maple.stats.bump("lima_started")
+        stats = maple.stats
+        started = self._c_started
+        if started is None:
+            started = self._c_started = stats.counter("lima_started")
+        started.value += 1
+        chunks = self._c_chunks
+        elements = self._c_elements
         current_line = None
         line_words = []
         for i in range(config.lo, config.hi):
@@ -126,14 +138,16 @@ class LimaUnit:
                 # Fetch the next 64 B chunk of B into the scratchpad.
                 line_words = yield from fetch_line(line)
                 current_line = line
-                maple.stats.bump("lima_chunks")
+                if chunks is None:
+                    chunks = self._c_chunks = stats.counter("lima_chunks")
+                chunks.value += 1
             index = line_words[(paddr_b - line) // WORD_BYTES]
             if is_poisoned(index):
                 # The index array is still in DRAM: re-fetch the chunk (a
                 # fresh read draws a fresh ECC fate) before giving up.
                 limit = maple.config.poison_refetch_limit
                 for _ in range(limit):
-                    maple.stats.bump("lima_poison_refetches")
+                    stats.bump("lima_poison_refetches")
                     line_words = yield from fetch_line(line)
                     index = line_words[(paddr_b - line) // WORD_BYTES]
                     if not is_poisoned(index):
@@ -162,5 +176,7 @@ class LimaUnit:
                 if paddr_a is None:
                     paddr_a = yield from maple.mmu.translate_miss(target)
                 mem_port.post("l2_prefetch", paddr_a)
-            maple.stats.bump("lima_elements")
+            if elements is None:
+                elements = self._c_elements = stats.counter("lima_elements")
+            elements.value += 1
         self.active -= 1

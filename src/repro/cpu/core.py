@@ -16,9 +16,11 @@ touches :class:`~repro.mem.hierarchy.MemorySystem` directly: uncacheable
 data is a port post, and every timed access is a port transaction, so one
 telemetry tap sees the core's whole memory-side behavior.  Loads, stores
 and PTE reads call the seam's lowered handlers (see :mod:`repro.sim.port`):
-while the seam is unarmed they run the same probes and transaction on the
-same tap in one frame below the core's own; armed, they are the port
-calls themselves.
+while the seam is unarmed they run the same probes, posts and transaction
+on the same tap in one frame below the core's own; armed, they are the
+port calls themselves.  A store's issue is one synchronous call: the
+uncacheable probe, then either the value's post or a MAPLE produce's
+access, which the core runs as it runs a consume.
 """
 
 from __future__ import annotations
@@ -75,9 +77,11 @@ class Core:
         # Spawn names, built once (stores/prefetches spawn per instruction).
         self._stb_name = f"core{core_id}.stb"
         self._prefetch_name = f"core{core_id}.prefetch"
-        # The seam's lowered load and store (see repro.sim.port).
+        # The seam's lowered load, store and store issue (see
+        # repro.sim.port).
         self._mem_load = mem_port.lowered("load")
         self._mem_store = mem_port.lowered("store")
+        self._store_issue = mem_port.lowered("store_issue")
         os.register_tlb(self.tlb)
 
     def run(self, thread: Thread):
@@ -118,8 +122,8 @@ class Core:
                 to_send = None
             elif kind is Store:
                 instructions.value += 1
-                to_send = yield from self._do_store(inst.vaddr, inst.value,
-                                                    aspace)
+                yield from self._do_store(inst.vaddr, inst.value, aspace)
+                to_send = None
             elif kind is Spin:
                 # A software poll: each iteration is a Load and, until the
                 # value exceeds `above`, an Alu(backoff), counted and
@@ -189,30 +193,43 @@ class Core:
         return (yield from self._mem_load(paddr, self._mshrs))
 
     def _do_store(self, vaddr: int, value, aspace: AddressSpace):
-        """One store, plain or fenced — the single retire path."""
+        """The generator of one store, plain or fenced — the single retire
+        path.  The seam's store issue makes a plain store's value visible
+        at once and hands back a MAPLE produce's access, which this
+        returns as it is: a produce runs no deeper than a consume.  Only
+        a TLB miss pays for a generator of the core's own."""
         self._c_stores.value += 1
         hit = self.tlb.translate(vaddr)
-        paddr = (hit[0] if hit is not None
-                 else (yield from self._translate_miss(aspace, vaddr)))
-        port = self._mem_port
-        if port.probe("is_uncacheable", paddr):
-            # MMIO stores (MAPLE produces) are synchronous: the store
-            # retires only once the device acknowledges it (§3.6).
-            yield from self._mem_store(paddr, value, True)
-            return None
+        if hit is None:
+            return self._walk_then_store(vaddr, value, aspace)
+        paddr = hit[0]
+        # MMIO stores (MAPLE produces) are synchronous: the store retires
+        # only once the device acknowledges it (§3.6).
+        produce = self._store_issue(paddr, value)
+        if produce is not None:
+            return produce
+        return self._retire_to_store_buffer(paddr, value)
+
+    def _walk_then_store(self, vaddr: int, value, aspace: AddressSpace):
+        paddr = yield from self._translate_miss(aspace, vaddr)
+        produce = self._store_issue(paddr, value)
+        if produce is not None:
+            yield from produce
+        else:
+            yield from self._retire_to_store_buffer(paddr, value)
+
+    def _retire_to_store_buffer(self, paddr: int, value):
         # Ordinary stores retire into the store buffer: the value is
         # architecturally visible now; cache/coherence work completes
         # in the background, stalling only when the buffer is full.
-        port.post("write_word", (paddr, value))
         if not self._store_buffer.try_acquire():
             yield from self._store_buffer.acquire()
         self._sim.spawn(self._drain_store(paddr, value), name=self._stb_name)
         yield 1
-        return None
 
     def _drain_store(self, paddr: int, value):
         try:
-            yield from self._mem_store(paddr, value, False)
+            yield from self._mem_store(paddr, value)
         finally:
             self._store_buffer.release()
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.mem.coherence import LineState
+from repro.params import cache_set_count
 
 
 @dataclass
@@ -39,15 +40,11 @@ class Cache:
     """Tags + LRU + MESI states for a size/ways/line_size geometry."""
 
     def __init__(self, size: int, ways: int, line_size: int, name: str = "cache"):
-        if size % (ways * line_size):
-            raise ValueError(f"{name}: size {size} not divisible into {ways}-way sets")
         self.name = name
         self.size = size
         self.ways = ways
         self.line_size = line_size
-        self.num_sets = size // (ways * line_size)
-        if self.num_sets & (self.num_sets - 1):
-            raise ValueError(f"{name}: {self.num_sets} sets is not a power of two")
+        self.num_sets = cache_set_count(size, ways, line_size, name)
         self._line_shift = line_size.bit_length() - 1
         self._set_mask = self.num_sets - 1
         # Each set maps line -> LineState; OrderedDict order is LRU order

@@ -43,14 +43,14 @@ class MMIORegion:
 
     ``handler(op, paddr, value, core_id)`` is a generator completing the
     access with full device timing; its return value answers loads.
-    ``lowered(op, paddr, value, core_id, client, txn)`` is the device's
+    ``lowered(op, paddr, value, core_id, client)`` is the device's
     one-frame version of the same access, run by the core seam's lowered
-    load/store: it must also close the core-seam transaction ``txn`` it
-    is handed (``client.end``), and take ``handler``'s path itself while
-    the device's own seam is armed.  A region a core reaches through its
-    seam must have one (the access fails without it); ``handler`` alone
-    serves direct :meth:`MemorySystem.load` / :meth:`~MemorySystem.store`
-    calls and an armed core seam.
+    load and store issue: it must also close the core-seam transaction
+    opened on ``client`` for it (``client.end``), and take ``handler``'s
+    path itself while the device's own seam is armed.  A region a core
+    reaches through its seam must have one (the access fails without
+    it); ``handler`` alone serves direct :meth:`MemorySystem.load` /
+    :meth:`~MemorySystem.store` calls and an armed core seam.
     """
 
     start: int
@@ -227,6 +227,7 @@ class MemorySystem:
         server.bind(handler, posts=posts, probes=probes, lowered={
             "load": self._lower_core_load(client, core_id),
             "store": self._lower_core_store(client, core_id),
+            "store_issue": self._lower_store_issue(client, core_id),
             "ptw_read": self._lower(client, "ptw_read", self.load_llc),
         })
         return client
@@ -273,26 +274,26 @@ class MemorySystem:
     # returns the generator of one access.  The server's work is the
     # generic handler's own body (``_l1_load``, ``_l1_store``,
     # ``load_llc``, ``load_dram``, ``load_dram_line``), handed the client
-    # and the transaction opened for it with Port.begin, which the body
-    # closes with Port.end; when begin refuses (an armed seam, no free
-    # credit) the access is ``client.request`` itself, with nothing
-    # counted.
+    # whose transaction Port.begin opened, which the body closes with
+    # Port.end; when begin refuses (an armed seam, no free credit) the
+    # access is ``client.request`` itself, with nothing counted.  The
+    # core's store issue is the one synchronous builder: it fuses the
+    # probe and the post of a store's issue.
 
     @staticmethod
     def _lower(client: Port, kind: str, body: Callable[..., Any]):
         """``access(payload)``: the generator of one ``kind`` transaction
-        — ``body(payload, client, txn)`` after :meth:`Port.begin`, or the
+        — ``body(payload, client)`` after :meth:`Port.begin`, or the
         generic request."""
         begin = client.begin
         request = client.request
         server_tap = client.peer.tap
 
         def access(payload: Any):
-            txn = begin(kind)
-            if txn is None:
+            if begin(kind) is None:
                 return request(kind, payload)
             server_tap.served += 1
-            return body(payload, client, txn)
+            return body(payload, client)
 
         return access
 
@@ -328,28 +329,57 @@ class MemorySystem:
         return load
 
     def _lower_core_store(self, client: Port, core_id: int):
-        """``store(paddr, value, apply)``: the generator of one ``store``
-        transaction — :meth:`_mmio_access` for an MMIO address (a MAPLE
-        produce), else :meth:`_l1_store` (a store-buffer drain)."""
+        """``store(paddr, value)``: the generator of a store-buffer drain,
+        one ``store`` transaction — :meth:`_l1_store`'s timing and
+        coherence work for a value the store's issue already made
+        visible.  The issue routes an MMIO address to its device, so a
+        drain never sees one."""
         begin = client.begin
         server_tap = client.peer.tap
         l1_store = self._l1_store
 
-        def store(paddr: int, value: Any, apply: bool):
+        def store(paddr: int, value: Any):
+            if begin("store") is None:
+                return client.request("store", (paddr, value, False))
+            server_tap.served += 1
+            return l1_store(core_id, paddr, value, False, client)
+
+        return store
+
+    def _lower_store_issue(self, client: Port, core_id: int):
+        """``issue(paddr, value)``: a core store's issue, synchronous — the
+        ``is_uncacheable`` probe, then for an MMIO address (a MAPLE
+        produce) the generator of its ``store`` transaction, which the
+        store retires on; else the ``write_word`` post that makes the
+        value visible now, and ``None``.  The probe and the post are
+        counted as :meth:`Port.probe` and :meth:`Port.post` count them
+        (the post's txn id included), and go through them while the
+        core's tap is traced."""
+        tap = client.tap
+        write_word = self.mem.write_word
+
+        def issue(paddr: int, value: Any):
+            if tap.trace is not None:
+                if client.probe("is_uncacheable", paddr):
+                    return client.request("store", (paddr, value, True))
+                client.post("write_word", (paddr, value))
+                return None
+            tap.probes += 1
             floor = self._mmio_floor
             if floor is not None and paddr >= floor:
                 region = self._mmio_region(paddr)
                 if region is not None:
                     return self._mmio_access(client, region, "store", paddr,
                                              value, core_id,
-                                             (paddr, value, apply))
-            txn = begin("store")
-            if txn is None:
-                return client.request("store", (paddr, value, apply))
-            server_tap.served += 1
-            return l1_store(core_id, paddr, value, apply, client, txn)
+                                             (paddr, value, True))
+            tap.posts += 1
+            by_kind = tap.by_kind
+            by_kind["write_word"] = by_kind.get("write_word", 0) + 1
+            client._next_txn += 1
+            write_word(paddr, value)
+            return None
 
-        return store
+        return issue
 
     def _mmio_access(self, client: Port, region: MMIORegion, op: str,
                      paddr: int, value: Any, core_id: int, payload: Any):
@@ -361,11 +391,10 @@ class MemorySystem:
             raise RuntimeError(f"MMIO region {region.name} is reached "
                                "through a core seam but has no lowered "
                                "access")
-        txn = client.begin(op)
-        if txn is None:
+        if client.begin(op) is None:
             return client.request(op, payload)
         client.peer.tap.served += 1
-        return region.lowered(op, paddr, value, core_id, client, txn)
+        return region.lowered(op, paddr, value, core_id, client)
 
     def debug_state(self) -> Dict[str, Any]:
         """Liveness snapshot: outstanding DRAM transactions and pending
@@ -403,10 +432,8 @@ class MemorySystem:
         if miss and not mshrs.try_acquire():
             yield from mshrs.acquire()
         try:
-            txn = None
             if client is not None:
-                txn = client.begin("load")
-                if txn is None:
+                if client.begin("load") is None:
                     return (yield from client.request("load", paddr))
                 client.peer.tap.served += 1
             try:
@@ -419,11 +446,11 @@ class MemorySystem:
                     yield from self._l1_fill(core_id, line)
                 value = self.mem.read_word(paddr)
             except BaseException:
-                if txn is not None:
-                    client.end(txn, ok=False)
+                if client is not None:
+                    client.end(ok=False)
                 raise
-            if txn is not None:
-                client.end(txn)
+            if client is not None:
+                client.end()
             return value
         finally:
             if miss:
@@ -442,10 +469,10 @@ class MemorySystem:
         return self._l1_store(core_id, paddr, value, apply)
 
     def _l1_store(self, core_id: int, paddr: int, value: Any, apply: bool,
-                  client: Optional[Port] = None, txn: Optional[int] = None):
+                  client: Optional[Port] = None):
         """Generator: a cacheable store's L1, upgrade and coherence work —
         the generic ``store`` handler's body, and the lowered store's,
-        which passes the ``client`` transaction ``txn`` to close."""
+        which passes the ``client`` whose transaction it closes."""
         try:
             line = paddr & self._line_mask
             l1 = self.l1s[core_id]
@@ -461,11 +488,11 @@ class MemorySystem:
             if apply:
                 self.mem.write_word(paddr, value)
         except BaseException:
-            if txn is not None:
-                client.end(txn, ok=False)
+            if client is not None:
+                client.end(ok=False)
             raise
-        if txn is not None:
-            client.end(txn)
+        if client is not None:
+            client.end()
         return None
 
     def is_uncacheable(self, paddr: int) -> bool:
@@ -544,14 +571,13 @@ class MemorySystem:
 
     # -- device-facing accesses (MAPLE) ---------------------------------------
 
-    def load_llc(self, paddr: int, client: Optional[Port] = None,
-                 txn: Optional[int] = None):
+    def load_llc(self, paddr: int, client: Optional[Port] = None):
         """Generator: cache-coherent device load through the shared L2
         (also a PTE read); returns the word.
 
         A poisoned fill is scrubbed and re-fetched up to the configured
         budget, then surfaces as a typed :class:`DataIntegrityError`.
-        A lowered read passes the ``client`` transaction ``txn`` to close.
+        A lowered read passes the ``client`` whose transaction it closes.
         """
         line = paddr & self._line_mask
         try:
@@ -569,20 +595,19 @@ class MemorySystem:
             else:
                 self._poison_exhausted("llc", line)
         except BaseException:
-            if txn is not None:
-                client.end(txn, ok=False)
+            if client is not None:
+                client.end(ok=False)
             raise
-        if txn is not None:
-            client.end(txn)
+        if client is not None:
+            client.end()
         return value
 
-    def load_dram(self, paddr: int, client: Optional[Port] = None,
-                  txn: Optional[int] = None):
+    def load_dram(self, paddr: int, client: Optional[Port] = None):
         """Generator: non-coherent device load straight from DRAM.
 
         Returns the word, or a :class:`Poison` marker on an armed-ECC
         double-bit flip — the device decides whether to re-fetch.  A
-        lowered read passes the ``client`` transaction ``txn`` to close.
+        lowered read passes the ``client`` whose transaction it closes.
         """
         try:
             yield from self.dram.access(paddr & self._line_mask)
@@ -590,20 +615,19 @@ class MemorySystem:
             if self.flip is not None:
                 value = self._filter_word(paddr, value)
         except BaseException:
-            if txn is not None:
-                client.end(txn, ok=False)
+            if client is not None:
+                client.end(ok=False)
             raise
-        if txn is not None:
-            client.end(txn)
+        if client is not None:
+            client.end()
         return value
 
-    def load_dram_line(self, line_addr: int, client: Optional[Port] = None,
-                       txn: Optional[int] = None):
+    def load_dram_line(self, line_addr: int, client: Optional[Port] = None):
         """Generator: one full line from DRAM (LIMA's 64 B chunk fetch).
 
         Under an armed-ECC double-bit flip one word of the returned line
         is a :class:`Poison` marker; without ECC it is silently wrong.  A
-        lowered read passes the ``client`` transaction ``txn`` to close.
+        lowered read passes the ``client`` whose transaction it closes.
         """
         try:
             yield from self.dram.access(line_addr)
@@ -611,11 +635,11 @@ class MemorySystem:
             if self.flip is not None:
                 self._flip_line(line_addr, words)
         except BaseException:
-            if txn is not None:
-                client.end(txn, ok=False)
+            if client is not None:
+                client.end(ok=False)
             raise
-        if txn is not None:
-            client.end(txn)
+        if client is not None:
+            client.end()
         return words
 
     # -- internals ------------------------------------------------------------

@@ -21,6 +21,24 @@ from dataclasses import asdict, dataclass, replace
 from typing import Dict
 
 
+def cache_set_count(size: int, ways: int, line_size: int,
+                    name: str = "cache") -> int:
+    """The number of sets of a ``size``-byte, ``ways``-way cache.
+
+    The one home of the cache geometry rule, checked by both
+    :class:`SoCConfig` and :class:`repro.mem.cache.Cache`: the size must
+    divide into ``ways``-way sets of ``line_size`` bytes, and the set
+    count must be a power of two (the set index is a bit field).
+    """
+    if size % (ways * line_size):
+        raise ValueError(f"{name}: size {size} not divisible into "
+                         f"{ways}-way sets")
+    sets = size // (ways * line_size)
+    if sets & (sets - 1):
+        raise ValueError(f"{name}: {sets} sets is not a power of two")
+    return sets
+
+
 @dataclass(frozen=True)
 class SoCConfig:
     """All structural and timing knobs of the simulated SoC."""
@@ -120,10 +138,8 @@ class SoCConfig:
     def __post_init__(self) -> None:
         if self.line_size & (self.line_size - 1):
             raise ValueError("line_size must be a power of two")
-        if self.l1_size % (self.line_size * self.l1_ways):
-            raise ValueError("L1 geometry does not divide into sets")
-        if self.l2_size % (self.line_size * self.l2_ways):
-            raise ValueError("L2 geometry does not divide into sets")
+        cache_set_count(self.l1_size, self.l1_ways, self.line_size, "l1")
+        cache_set_count(self.l2_size, self.l2_ways, self.line_size, "l2")
         if self.page_size % self.line_size:
             raise ValueError("page_size must be a multiple of line_size")
         if self.scratchpad_bytes % self.maple_num_queues:

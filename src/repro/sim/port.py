@@ -62,11 +62,19 @@ checked at every access and needs no configuration: a seam is *unarmed*
 when it has no ``inject`` hook, no ``channel`` hook and neither side's
 tap is traced, and a credit is free.  Otherwise — an armed seam, a
 contended credit — the access is :meth:`request` itself, with nothing
-counted.  Both paths share one implementation of the bookkeeping
-(:meth:`_open`: txn id, counters, ``outstanding``, the busy index and
-the txn-id set; :meth:`end`: responses or errors and the credit) and
-yield at the same points, so cycles, events, stats and every tap
-counter are identical whichever path a transaction takes.
+counted.  Both paths book a transaction once, inline, and alike — the
+txn id, the request and per-kind counters, ``outstanding`` and the busy
+index at the open; responses or errors and the credit at
+:meth:`end` — and yield at the same points, so cycles, events, stats,
+txn ids and every tap counter are identical whichever path a
+transaction takes.  Only :meth:`request` also keeps the txn-id set
+(``outstanding_txns``), which the armed port audit and debug dumps
+read; a leaked lowered transaction is still named by
+:meth:`PortRegistry.drain`, by its port and outstanding count.  A
+lowered handler may also fuse synchronous calls: the core seam's
+``store_issue`` is a store's ``is_uncacheable`` probe plus its
+``write_word`` post (or its MMIO ``store`` transaction), counted as
+:meth:`probe` and :meth:`post` count them.
 """
 
 from __future__ import annotations
@@ -149,14 +157,19 @@ class QuiescenceError(RuntimeError):
     """A port still had transactions in flight when quiescence was asserted.
 
     ``busy`` maps each offending port name to the sorted tuple of its
-    outstanding transaction ids, so a leaked transaction is immediately
+    outstanding transaction ids that the generic path (:meth:`Port.request`)
+    opened, and ``outstanding`` to its count of every transaction in
+    flight, lowered ones included — so a leaked transaction is immediately
     attributable to a seam (and, via the port trace, to a cycle).
     """
 
-    def __init__(self, busy: Dict[str, Tuple[int, ...]]):
+    def __init__(self, busy: Dict[str, Tuple[int, ...]],
+                 outstanding: Dict[str, int]):
         self.busy = dict(busy)
+        self.outstanding = dict(outstanding)
         detail = ", ".join(
-            f"{name} (txns {', '.join(f'#{t}' for t in txns)})"
+            f"{name} ({self.outstanding[name]} outstanding"
+            + "".join(f", #{t}" for t in txns) + ")"
             for name, txns in sorted(self.busy.items()))
         super().__init__(
             f"ports still have transactions in flight: {detail}")
@@ -258,7 +271,9 @@ class Port:
         self.peer: Optional["Port"] = None
         #: Transactions issued by this port that have not completed.
         self.outstanding = 0
-        #: Their transaction ids (diagnosable from a watchdog dump).
+        #: The ids of those :meth:`request` opened (diagnosable from a
+        #: watchdog dump); a lowered transaction is counted in
+        #: ``outstanding`` only.
         self.outstanding_txns: set = set()
         #: Busy-port index this port reports 0<->1 ``outstanding``
         #: transitions to.  A standalone port owns a private set; a
@@ -316,7 +331,8 @@ class Port:
         generator of one access (see the module docstring): a lowered
         transaction opened and closed with the client's :meth:`begin` /
         :meth:`end`, or the client's :meth:`request` when :meth:`begin`
-        refuses."""
+        refuses.  It may also map a name to a synchronous function that
+        fuses probes and posts (the core seam's ``store_issue``)."""
         self._handler = handler
         self._post_handler = posts
         self._probe_handler = probes
@@ -358,8 +374,10 @@ class Port:
         nothing counted — unless the seam is *unarmed* (no ``inject`` or
         ``channel`` hook, neither side's tap traced) and a credit is
         free; the caller then takes :meth:`request` instead.  Otherwise
-        it takes the credit and books the transaction with the same
-        :meth:`_open` as :meth:`request`.
+        it takes the credit and books the transaction as :meth:`request`
+        does: the next txn id, the request and per-kind counters, the
+        outstanding count and the busy index.  Only the txn-id set is
+        left out; nothing reads it on an unarmed seam.
         """
         peer = self.peer
         if (peer is None or self.inject is not None
@@ -371,13 +389,6 @@ class Port:
             if credits._waiters or credits._available == 0:
                 return None
             credits._available -= 1
-        return self._open(kind)
-
-    def _open(self, kind: str) -> int:
-        """The open half of every transaction's bookkeeping, once its
-        credit is held: the next txn id, the request and per-kind
-        counters, the outstanding count, the busy index and the txn-id
-        set.  Returns the txn id."""
         txn = self._next_txn
         self._next_txn = txn + 1
         tap = self.tap
@@ -388,13 +399,12 @@ class Port:
         self.outstanding = out + 1
         if not out:
             self._busy_index.add(self)
-        self.outstanding_txns.add(txn)
         return txn
 
-    def end(self, txn: int, ok: bool = True) -> None:
-        """The close half: count the response (``ok``) or the error,
-        leave the outstanding count, the busy index and the txn-id set,
-        and free the credit — by direct handoff when a sender waits."""
+    def end(self, ok: bool = True) -> None:
+        """Close one transaction: count the response (``ok``) or the
+        error, leave the outstanding count and the busy index, and free
+        the credit — by direct handoff when a sender waits."""
         tap = self.tap
         if ok:
             tap.responses += 1
@@ -404,7 +414,6 @@ class Port:
         self.outstanding = out
         if not out:
             self._busy_index.discard(self)
-        self.outstanding_txns.discard(txn)
         credits = self._credits
         if credits is not None:
             # Uncontended release inlined; a queued waiter gets the
@@ -434,7 +443,17 @@ class Port:
                 yield from credits.acquire()
             else:
                 credits._available -= 1
-        txn = self._open(kind)
+        txn = self._next_txn
+        self._next_txn = txn + 1
+        tap.requests += 1
+        by_kind = tap.by_kind
+        by_kind[kind] = by_kind.get(kind, 0) + 1
+        out = self.outstanding
+        self.outstanding = out + 1
+        if not out:
+            self._busy_index.add(self)
+        txns = self.outstanding_txns
+        txns.add(txn)
         msg = Message(kind, self.tile if src is None else src,
                       peer.tile if dst is None else dst, payload, txn)
         trace = tap.trace
@@ -470,11 +489,13 @@ class Port:
         except BaseException:
             if trace is not None:
                 trace.append((self._sim.now, self.name, kind, txn, "err"))
-            self.end(txn, ok=False)
+            txns.discard(txn)
+            self.end(ok=False)
             raise
         if trace is not None:
             trace.append((self._sim.now, self.name, kind, txn, "done"))
-        self.end(txn)
+        txns.discard(txn)
+        self.end()
         return result
 
     # -- faulty-channel delivery ------------------------------------------------
@@ -698,17 +719,15 @@ class PortRegistry:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _busy(self) -> Dict[str, Tuple[int, ...]]:
-        return {p.name: tuple(sorted(p.outstanding_txns))
-                for p in sorted(self._busy_ports, key=lambda p: p.name)
-                if p.outstanding}
-
     def drain(self) -> None:
         """Raise :class:`QuiescenceError` unless every port is quiescent,
-        naming each busy port and its outstanding transaction ids."""
-        busy = self._busy()
+        naming each busy port, its outstanding count and the ids of its
+        outstanding generic-path transactions."""
+        busy = [p for p in self._busy_ports if p.outstanding]
         if busy:
-            raise QuiescenceError(busy)
+            raise QuiescenceError(
+                {p.name: tuple(sorted(p.outstanding_txns)) for p in busy},
+                {p.name: p.outstanding for p in busy})
 
     def reset(self) -> None:
         """Clear all telemetry (counters and traces); requires quiescence."""

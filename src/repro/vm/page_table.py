@@ -22,12 +22,12 @@ PTE_V = 0x1  # valid
 PTE_R = 0x2  # readable (leaf)
 PTE_W = 0x4  # writable
 PTE_U = 0x8  # user accessible
-_PPN_SHIFT = 10
+PPN_SHIFT = 10
 _REGION_SHIFT = PAGE_SHIFT + VPN_BITS  # one leaf table maps 2 MB
 
 
 def make_pte(ppn: int, flags: int) -> int:
-    return (ppn << _PPN_SHIFT) | flags
+    return (ppn << PPN_SHIFT) | flags
 
 
 def pte_is_valid(pte: int) -> bool:
@@ -39,11 +39,7 @@ def pte_is_leaf(pte: int) -> bool:
 
 
 def pte_ppn(pte: int) -> int:
-    return pte >> _PPN_SHIFT
-
-
-def pte_flags(pte: int) -> int:
-    return pte & ((1 << _PPN_SHIFT) - 1)
+    return pte >> PPN_SHIFT
 
 
 def _leaf_entry(table_paddr: int, vaddr: int) -> int:

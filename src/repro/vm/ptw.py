@@ -19,8 +19,17 @@ from dataclasses import dataclass
 from repro.mem.dram import is_poisoned
 from repro.sim.port import DataIntegrityError, Port
 from repro.sim.stats import ScopedStats
-from repro.vm.address import PAGE_SHIFT, page_offset, vpn_indices
-from repro.vm.page_table import pte_flags, pte_is_leaf, pte_is_valid, pte_ppn
+from repro.vm.address import (ENTRIES_PER_TABLE, LEVELS, PAGE_SHIFT,
+                              PAGE_SIZE, VA_BITS, VPN_BITS)
+from repro.vm.page_table import PPN_SHIFT, PTE_R, PTE_V, PTE_W
+
+#: (level, shift of its table index), root to leaf.
+_LEVEL_SHIFTS = tuple((level, PAGE_SHIFT + VPN_BITS * (LEVELS - 1 - level))
+                      for level in range(LEVELS))
+_INDEX_MASK = ENTRIES_PER_TABLE - 1
+_VA_LIMIT = 1 << VA_BITS
+_PTE_LEAF = PTE_R | PTE_W
+_FLAGS_MASK = (1 << PPN_SHIFT) - 1
 
 
 @dataclass
@@ -46,42 +55,59 @@ class PageTableWalker:
         # The seam's lowered read: a port request itself while the seam
         # is armed.
         self._read_pte = port.lowered("ptw_read")
+        # Counter handles, bound at first use: a walker that never walks
+        # (or never faults) adds no zero-valued key to the stats.
+        self._c_walks = None
+        self._c_faults = None
 
     def walk(self, root_paddr: int, vaddr: int):
         """Generator: translate ``vaddr``; returns (paddr, flags).
 
         Raises :class:`TranslationFault` on invalid mappings.  Timing: one
-        LLC-path read per level.
+        LLC-path read per level.  One loop decodes each PTE inline (the
+        layout of :mod:`repro.vm.page_table`).
         """
-        self._stats.bump("walks")
+        walks = self._c_walks
+        if walks is None:
+            walks = self._c_walks = self._stats.counter("walks")
+        walks.value += 1
+        if not 0 <= vaddr < _VA_LIMIT:
+            raise ValueError(
+                f"address {vaddr:#x} outside the {VA_BITS}-bit space")
+        read_pte = self._read_pte
         table = root_paddr
-        indices = vpn_indices(vaddr)
         self.inflight += 1
         try:
-            for level, index in enumerate(indices):
-                pte = yield from self._read_pte(table + 8 * index)
-                if not isinstance(pte, int) and is_poisoned(pte):
-                    # Not a page fault the OS could resolve: a mangled
-                    # PTE would translate to the wrong frame, so it must
-                    # surface as an integrity error, never a retry-able
-                    # TranslationFault.
-                    raise DataIntegrityError(
-                        f"poisoned PTE at {table + 8 * index:#x} during "
-                        f"walk of {vaddr:#x}",
-                        component="ptw", kind="ptw_read",
-                        addr=table + 8 * index)
-                if not isinstance(pte, int) or not pte_is_valid(pte):
-                    self._stats.bump("faults")
-                    raise TranslationFault(vaddr, level)
-                if pte_is_leaf(pte):
-                    if level != len(indices) - 1:
-                        # Superpages are not produced by our OS; treat as fault.
-                        self._stats.bump("faults")
-                        raise TranslationFault(vaddr, level)
-                    frame = pte_ppn(pte) << PAGE_SHIFT
-                    return frame | page_offset(vaddr), pte_flags(pte)
-                table = pte_ppn(pte) << PAGE_SHIFT
-            self._stats.bump("faults")
-            raise TranslationFault(vaddr, len(indices) - 1)
+            for level, shift in _LEVEL_SHIFTS:
+                entry = table + 8 * ((vaddr >> shift) & _INDEX_MASK)
+                pte = yield from read_pte(entry)
+                if not isinstance(pte, int):
+                    if is_poisoned(pte):
+                        # Not a page fault the OS could resolve: a mangled
+                        # PTE would translate to the wrong frame, so it
+                        # must surface as an integrity error, never a
+                        # retry-able TranslationFault.
+                        raise DataIntegrityError(
+                            f"poisoned PTE at {entry:#x} during walk of "
+                            f"{vaddr:#x}",
+                            component="ptw", kind="ptw_read", addr=entry)
+                    break
+                if not pte & PTE_V:
+                    break
+                if pte & _PTE_LEAF:
+                    if shift != PAGE_SHIFT:
+                        # Superpages are not produced by our OS; treat as
+                        # a fault.
+                        break
+                    return (((pte >> PPN_SHIFT) << PAGE_SHIFT)
+                            | (vaddr & (PAGE_SIZE - 1))), pte & _FLAGS_MASK
+                table = (pte >> PPN_SHIFT) << PAGE_SHIFT
+            # An invalid or superpage PTE, or a last level that is not a
+            # leaf.
+            faults = self._c_faults
+            if faults is None:
+                faults = self._c_faults = self._stats.counter("faults")
+            faults.value += 1
+            raise TranslationFault(vaddr, level)
         finally:
             self.inflight -= 1

@@ -1,9 +1,10 @@
 """Tests for per-technique slicing plans."""
 
+import pytest
 
 from repro.compiler import Technique, analyze, plan_for
 from repro.compiler.ir import ForStmt, IfStmt, LoadStmt, StoreStmt, expr_vars
-from repro.compiler.plan import LoadAction
+from repro.compiler.plan import LoadAction, _close_slice
 from repro.kernels.bfs import build_bfs_level_kernel
 from repro.kernels.sdhp import build_sdhp_kernel
 from repro.kernels.spmm import build_spmm_kernel
@@ -177,3 +178,14 @@ def test_bfs_lima_has_no_lookahead_but_works():
     plan = plan_for(analyze(build_bfs_level_kernel()), Technique.LIMA_PREFETCH)
     assert not plan.fallback_doall
     assert not plan.lima_lookahead
+
+
+def test_closing_a_slice_refuses_a_load_without_an_action():
+    """Every load a slice's closure reaches already holds its action; a
+    plan that breaks this is refused, not silently patched."""
+    kernel = build_spmv_kernel()
+    plan = plan_for(analyze(kernel), Technique.MAPLE_DECOUPLE)
+    _close_slice(plan, plan.analysis, "access")  # a sound plan closes
+    plan.access_actions[load_id(kernel, "col_idx")] = LoadAction.SKIP
+    with pytest.raises(AssertionError, match="access slice needs load"):
+        _close_slice(plan, plan.analysis, "access")

@@ -172,6 +172,52 @@ def test_store_value_visible_immediately_to_other_core():
     assert got["v"] == 99
 
 
+def _store_issue_run(target, traced):
+    """One store to ``target`` ("plain": an array word, "mmio": a MAPLE
+    produce, consumed back) on core 0; returns what a run observes: the
+    cycles, engine events, the core seam's tap and next txn id, and the
+    value stored."""
+    soc, aspace = build()
+    if traced:
+        soc.ports.enable_tracing()
+    arr = soc.array(aspace, 8, name="a")
+    api = soc.driver.attach(aspace)
+    got = {}
+
+    def program():
+        if target == "plain":
+            yield Store(arr.addr(0), 41)
+            got["v"] = yield Load(arr.addr(0))
+        else:
+            handle = yield from api.open(0)
+            yield from handle.produce(41)
+            got["v"] = yield from handle.consume()
+
+    cycles = run_program(soc, aspace, program())
+    port = soc.ports["core0.mem"]
+    return (cycles, soc.sim.events_executed, port.tap.snapshot(),
+            port._next_txn, got["v"])
+
+
+@pytest.mark.parametrize("target", ["plain", "mmio"])
+def test_store_issue_counts_as_the_traced_probe_and_post(target):
+    """A store's issue is one synchronous call on the unarmed seam; it
+    books exactly what the traced run's Port.probe and Port.post book."""
+    plain = _store_issue_run(target, traced=False)
+    assert plain == _store_issue_run(target, traced=True)
+    _, _, tap, next_txn, value = plain
+    assert value == 41
+    assert next_txn == tap["requests"] + tap["posts"]
+    if target == "plain":
+        # The value is posted at issue; the store buffer drains it.
+        assert tap["posts"] == tap["by_kind"]["write_word"] == 1
+        assert tap["by_kind"]["store"] == 1
+    else:
+        # A produce is the store transaction itself: no post.
+        assert tap["posts"] == 0 and "write_word" not in tap["by_kind"]
+        assert tap["by_kind"]["store"] == 1
+
+
 def test_prefetch_is_nonblocking_and_counted():
     soc, aspace = build()
     arr = soc.array(aspace, 64, name="a")

@@ -47,3 +47,13 @@ def test_validation_rejects_bad_geometry():
         SoCConfig(page_size=100)
     with pytest.raises(ValueError):
         SoCConfig(scratchpad_bytes=1000, maple_num_queues=3)
+
+
+def test_set_count_must_be_a_power_of_two_at_config_time():
+    """The cache geometry rule has one home: a config whose L1 or L2
+    divides into a set count that is not a power of two is refused when
+    it is made, not when a Soc is built from it."""
+    with pytest.raises(ValueError, match="l1: 3 sets is not a power of two"):
+        SoCConfig().with_overrides(l1_size=3 * 4 * 64)
+    with pytest.raises(ValueError, match="l2: 3 sets is not a power of two"):
+        SoCConfig().with_overrides(l2_size=3 * 8 * 64)

@@ -149,7 +149,7 @@ def test_begin_opens_only_unarmed_seams_with_a_free_credit():
     assert (client.outstanding, client.tap.requests) == (1, 1)
     assert client.tap.by_kind == {"op": 1}
     assert client.begin("op") is None  # the one credit is held
-    client.end(txn)
+    client.end()
     assert (client.outstanding, client.tap.responses) == (0, 1)
     registry.drain()
 

@@ -4,9 +4,11 @@ An unarmed seam runs each access as one lowered generator (see
 ``repro/sim/port.py``); tracing either tap arms the seam, so a traced
 run takes ``Port.request`` everywhere and serves as the oracle.  Every
 cell runs twice — plain and with ``soc.ports.enable_tracing()`` — and
-must agree on cycles, engine events, ``stats_snapshot()`` and every
-port's telemetry.  The plain run must also really be lowered: the kinds
-the memory system lowers never reach ``Port.request`` in it.  The
+must agree on cycles, engine events, ``stats_snapshot()``, every
+port's telemetry and every port's next txn id.  The plain run must also
+really be lowered: the kinds the memory system lowers never reach
+``Port.request`` in it, and a store's issue never reaches
+``Port.probe`` or ``Port.post``.  The
 lowered and generic paths run the same handler bodies, so the cells with
 seeded DRAM bit flips under ECC (poisoned pointer fetches, LIMA chunks and
 L2 fills, with their re-fetches) pin the error paths too.
@@ -17,9 +19,11 @@ import pytest
 from repro.datasets.graphs import power_law_graph
 from repro.harness import techniques
 from repro.harness.techniques import run_workload
+from repro.mem import MemorySystem, MMIORegion
 from repro.params import FPGA_CONFIG, SoCConfig
+from repro.sim import Semaphore, Signal, Simulator, Stats
 from repro.sim.faults import DramBitFlipFault, FaultPlan
-from repro.sim.port import Port
+from repro.sim.port import Port, PortRegistry, QuiescenceError
 from repro.system import Soc
 from repro.system.soc import coherence_stress_config
 
@@ -72,17 +76,26 @@ class _TracedSoc(Soc):
         self.ports.enable_tracing()
 
 
+def _counting(calls, method):
+    """``method`` wrapped to count its calls per kind into ``calls``."""
+
+    def counted(port, kind, *args, **kwargs):
+        calls[kind] = calls.get(kind, 0) + 1
+        return method(port, kind, *args, **kwargs)
+
+    return counted
+
+
 def _run(cell, monkeypatch, traced):
     app, technique, threads, config, dataset, *plan = CELLS[cell]
     requested = {}
-    generic_request = Port.request
-
-    def counting_request(port, kind, *args, **kwargs):
-        requested[kind] = requested.get(kind, 0) + 1
-        return generic_request(port, kind, *args, **kwargs)
+    probed = {}
+    posted = {}
 
     with monkeypatch.context() as patch:
-        patch.setattr(Port, "request", counting_request)
+        patch.setattr(Port, "request", _counting(requested, Port.request))
+        patch.setattr(Port, "probe", _counting(probed, Port.probe))
+        patch.setattr(Port, "post", _counting(posted, Port.post))
         if traced:
             patch.setattr(techniques, "Soc", _TracedSoc)
         result = run_workload(app, technique, threads=threads, scale=1,
@@ -92,35 +105,66 @@ def _run(cell, monkeypatch, traced):
     soc = result.soc
     telemetry = {name: {field: tap[field] for field in TAP_FIELDS}
                  for name, tap in soc.ports.telemetry().items()}
+    next_txns = {port.name: port._next_txn for port in soc.ports.ports}
     observed = (result.cycles, soc.sim.events_executed,
-                soc.stats_snapshot(), telemetry)
-    return observed, requested, soc
+                soc.stats_snapshot(), telemetry, next_txns)
+    return observed, (requested, probed, posted), soc
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_lowered_seams_match_the_traced_generic_path(cell, monkeypatch):
-    lowered, plain_requests, plain_soc = _run(cell, monkeypatch,
-                                              traced=False)
-    generic, traced_requests, traced_soc = _run(cell, monkeypatch,
-                                                traced=True)
+    lowered, plain_calls, plain_soc = _run(cell, monkeypatch, traced=False)
+    generic, traced_calls, traced_soc = _run(cell, monkeypatch, traced=True)
     assert lowered == generic
     # The oracle really took the generic path, the plain run really did
-    # not: every lowered kind reached Port.request only when traced.
+    # not: every lowered kind reached Port.request, and a store's issue
+    # its probe and post, only when traced.
     assert traced_soc.ports.trace_events()
     assert not plain_soc.ports.trace_events()
+    plain_requests, plain_probes, plain_posts = plain_calls
+    traced_requests, traced_probes, traced_posts = traced_calls
     assert not LOWERED_KINDS & set(plain_requests)
     assert LOWERED_KINDS & set(traced_requests)
+    assert "is_uncacheable" not in plain_probes
+    assert "write_word" not in plain_posts
+    assert traced_probes["is_uncacheable"] > 0
+    assert traced_posts["write_word"] > 0
+
+
+def test_a_parked_lowered_transaction_fails_drain_by_port_name():
+    """Lowered transactions keep no txn-id set, yet one that never
+    completes is still named by ``drain()``: its port and its count."""
+    sim = Simulator()
+    memsys = MemorySystem(sim, SoCConfig(), Stats())
+    memsys.add_core(0)
+
+    def parked(op, paddr, value, core_id, client):
+        yield Signal(sim, name="never")
+
+    memsys.register_mmio(MMIORegion(1 << 40, (1 << 40) + 4096,
+                                    handler=None, name="dev",
+                                    lowered=parked))
+    registry = PortRegistry(sim)
+    client = memsys.connect_core_port(registry, 0, tile=0)
+    sim.spawn(client.lowered("load")(1 << 40, Semaphore(sim, 1)))
+    sim.run()
+    assert client.tap.requests == 1 and not client.outstanding_txns
+    with pytest.raises(QuiescenceError) as exc:
+        registry.drain()
+    assert exc.value.busy == {"core0.mem": ()}
+    assert exc.value.outstanding == {"core0.mem": 1}
+    assert "core0.mem (1 outstanding)" in str(exc.value)
 
 
 def test_coherence_cell_exercises_upgrades_and_dirty_forwards(monkeypatch):
-    (_, _, stats, _), _, _ = _run("spmv/sw-decouple/coherence", monkeypatch,
-                                  traced=False)
+    (_, _, stats, _, _), _, _ = _run("spmv/sw-decouple/coherence",
+                                     monkeypatch, traced=False)
     assert stats["directory.upgrades"] > 0
     assert stats["directory.transfers"] > 0
 
 
 @pytest.mark.parametrize("cell", sorted(c for c in CELLS if "flips" in c))
 def test_flip_cells_exercise_poison_refetches(cell, monkeypatch):
-    (_, _, stats, _), _, _ = _run(cell, monkeypatch, traced=False)
+    (_, _, stats, _, _), _, _ = _run(cell, monkeypatch, traced=False)
     assert stats["ecc.poisoned"] > 0
     assert stats["ecc.refetches"] > 0

@@ -134,7 +134,7 @@ def test_first_mapping_writes_only_its_three_ptes():
 
 
 def test_superpage_in_the_walk_is_refused():
-    _, os, _ = make_os()
+    sim, os, stats = make_os()
     aspace = os.create_address_space()
     table = aspace.page_table
     vaddr = 3 << 30  # root entry 3 becomes a 1 GB leaf
@@ -144,6 +144,20 @@ def test_superpage_in_the_walk_is_refused():
     assert not table.unmap_page(vaddr)
     with pytest.raises(ValueError, match="superpage"):
         table.map_page(vaddr, os.alloc_frame())
+    # The timed walker refuses it too: a fault at the root level.
+    walker = make_walker(sim, os, stats)
+    faults = []
+
+    def proc():
+        try:
+            yield from walker.walk(table.root_paddr, vaddr)
+        except TranslationFault as fault:
+            faults.append(fault.level)
+
+    sim.spawn(proc())
+    sim.run()
+    assert faults == [0]
+    assert stats.get("ptw.faults") == 1
 
 
 _GB_PAGES = 1 << 18  # pages per 1 GB root entry
@@ -267,6 +281,10 @@ def test_walker_faults_on_unmapped():
 
     sim.spawn(proc())
     sim.run()
+    assert stats.get("ptw.faults") == 1
+    # An address outside the 39-bit space is a caller error, not a fault.
+    with pytest.raises(ValueError, match="outside the 39-bit space"):
+        next(walker.walk(aspace.root_paddr, 1 << 39))
     assert stats.get("ptw.faults") == 1
 
 
